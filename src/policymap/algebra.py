@@ -18,9 +18,10 @@ rules:
 
 Finite sets of such paths form an idempotent semiring under set union and
 pairwise validity-checked concatenation, with ZERO the empty set and ONE
-the set holding only the empty path.  All closure computation in this
-package is built on that algebra; everything here is immutable and safe
-to share between threads.
+the set holding only the empty path.  A PathMatrix is a square matrix
+of such sets indexed by zone.  All closure computation in this package
+is built on that algebra; everything here is immutable and safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -232,3 +233,26 @@ def concat_sets(a: PathSet, b: PathSet) -> PathSet:
 def union_sets(a: PathSet, b: PathSet) -> PathSet:
     """Set union: the idempotent, commutative addition of the semiring."""
     return PathSet(a.paths | b.paths)
+
+
+@dataclass(frozen=True)
+class PathMatrix:
+    """Square matrix of path sets indexed by zone."""
+
+    cells: tuple[tuple[PathSet, ...], ...]
+
+    def __post_init__(self):
+        for row in self.cells:
+            if len(row) != len(self.cells):
+                raise ValueError("matrix is not square")
+
+    @property
+    def n(self) -> int:
+        return len(self.cells)
+
+    def cell(self, i: int, j: int) -> PathSet:
+        return self.cells[i][j]
+
+    def __getitem__(self, index: tuple[int, int]) -> PathSet:
+        i, j = index
+        return self.cells[i][j]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from . import documents
@@ -19,7 +20,6 @@ from .mapper import (
     DirectionConvention,
     MeasurementStrategy,
     assignments_for_rule,
-    map_policy,
     verify_assignments,
 )
 from .policy import PolicyContext, PolicyDocument, load_policy
@@ -39,18 +39,10 @@ class _Failure(Exception):
         self.code = code
 
 
-def _read_topology(path: str) -> NetworkTopology:
+def _read(path: str, load):
+    """load(path), with unreadable or malformed input as a one-line failure."""
     try:
-        return load_topology(path)
-    except PolicymapError as exc:
-        raise _Failure(1, f"{path}: {type(exc).__name__}: {exc}") from exc
-    except OSError as exc:
-        raise _Failure(1, str(exc)) from exc
-
-
-def _read_policy(path: str) -> PolicyDocument:
-    try:
-        return load_policy(path)
+        return load(path)
     except PolicymapError as exc:
         raise _Failure(1, f"{path}: {type(exc).__name__}: {exc}") from exc
     except OSError as exc:
@@ -63,6 +55,25 @@ def _compile(topology: NetworkTopology, transitivity: dict, firewall_zones: bool
     return model, astar
 
 
+def _map_tolerant(policy_doc, astar, model, convention, strategy):
+    """Map every rule, collecting unreachable (context, src, dst) triples.
+
+    Rules are taken context by context, each in file order.
+    """
+    assignments: list[DeviceAssignment] = []
+    unreachable: list[tuple[str, str, str]] = []
+    for ctx in PolicyContext:
+        for rule in policy_doc.rules_for(ctx):
+            try:
+                assignments.extend(
+                    assignments_for_rule(rule, astar, model, convention, strategy)
+                )
+            except UnreachablePair:
+                unreachable.append((ctx.value, rule.src, rule.dst))
+    assignments.sort(key=DeviceAssignment.sort_key)
+    return assignments, unreachable
+
+
 def _map_all(
     policy_doc: PolicyDocument,
     astar,
@@ -70,36 +81,23 @@ def _map_all(
     convention: DirectionConvention,
     strategy: MeasurementStrategy,
 ) -> list[DeviceAssignment]:
-    assignments: list[DeviceAssignment] = []
-    for ctx in PolicyContext:
-        assignments.extend(
-            map_policy(ctx, policy_doc.rules_for(ctx), astar, model, convention, strategy)
-        )
-    assignments.sort(key=DeviceAssignment.sort_key)
+    """Map every rule; raises UnreachablePair for the first unreachable one."""
+    assignments, unreachable = _map_tolerant(policy_doc, astar, model, convention, strategy)
+    if unreachable:
+        context, src, dst = unreachable[0]
+        raise UnreachablePair(src, dst, context)
     return assignments
 
 
-def _map_tolerant(policy_doc, astar, model, convention, strategy):
-    """Per-rule mapping that collects unreachable pairs instead of failing."""
-    assignments: list[DeviceAssignment] = []
-    unreachable: list[tuple[str, str, str]] = []
-    for rule in policy_doc.rules:
-        try:
-            assignments.extend(
-                assignments_for_rule(rule, astar, model, convention, strategy)
-            )
-        except UnreachablePair:
-            unreachable.append((rule.context.value, rule.src, rule.dst))
-    assignments.sort(key=DeviceAssignment.sort_key)
-    return assignments, unreachable
-
-
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _Failure(1, str(exc)) from exc
 
 
 def _render(document: dict, renderer, fmt: str) -> str:
@@ -109,8 +107,8 @@ def _render(document: dict, renderer, fmt: str) -> str:
 
 
 def cmd_map(args) -> int:
-    topology = _read_topology(args.topology)
-    policy_doc = _read_policy(args.policy)
+    topology = _read(args.topology, load_topology)
+    policy_doc = _read(args.policy, load_policy)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     assignments = _map_all(
         policy_doc, astar, model,
@@ -123,16 +121,13 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    topology = _read_topology(args.topology)
-    policy_doc = _read_policy(args.policy)
+    topology = _read(args.topology, load_topology)
+    policy_doc = _read(args.policy, load_policy)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
-    try:
-        with open(args.assignments, "r", encoding="utf-8") as handle:
-            existing = documents.load_assignments(handle.read())
-    except PolicymapError as exc:
-        raise _Failure(1, f"{args.assignments}: {type(exc).__name__}: {exc}") from exc
-    except OSError as exc:
-        raise _Failure(1, str(exc)) from exc
+    existing = _read(
+        args.assignments,
+        lambda path: documents.load_assignments(Path(path).read_text(encoding="utf-8")),
+    )
 
     reports = []
     for ctx in PolicyContext:
@@ -152,8 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    topology = _read_topology(args.topology)
-    policy_doc = _read_policy(args.policy)
+    topology = _read(args.topology, load_topology)
+    policy_doc = _read(args.policy, load_policy)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     i = model.zone_index(args.src)
     j = model.zone_index(args.dst)
@@ -178,8 +173,8 @@ def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> Netwo
 
 
 def cmd_whatif(args) -> int:
-    topology = _read_topology(args.topology)
-    policy_doc = _read_policy(args.policy)
+    topology = _read(args.topology, load_topology)
+    policy_doc = _read(args.policy, load_policy)
     convention = DirectionConvention(args.direction_convention)
     strategy = MeasurementStrategy(args.measurement_strategy)
 

@@ -8,11 +8,14 @@ iteration:
 
     A<0> = I,   A<k+1> = (A<k> . T  u  I) . A
 
-which converges to the closure after n-1 steps because elementary-path
-validity bounds every path at n-1 hops.  Matrix product and union are the
-cellwise lifts of the path-set operations; within one iteration every
-cell of the next matrix depends only on the frozen previous matrix, so
-cells could be computed concurrently.
+Each iterate is a function of the one before, so once A<k> = A<k+1>
+every later iterate is the same matrix.  Elementary-path validity bounds
+every path at n-1 hops, so that fixpoint comes within n-1 steps; the
+iteration stops at the first one and yields the same matrix as running
+all n-1 steps.  Matrix product and union are the cellwise lifts of the
+path-set operations; within one iteration every cell of the next matrix
+depends only on the frozen previous matrix, so cells could be computed
+concurrently.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -21,9 +24,11 @@ independent oracle for it.
 
 from __future__ import annotations
 
-from .algebra import ONE, ZERO, DevicePath, PathSet, concat_sets, union_sets
+from typing import Iterator
+
+from .algebra import ONE, ZERO, DevicePath, PathMatrix, PathSet, concat_sets, union_sets
 from .errors import DimensionMismatch, NoConvergence
-from .topology import PathMatrix, ZoneConduitModel
+from .topology import ZoneConduitModel
 
 
 def identity_matrix(n: int) -> PathMatrix:
@@ -74,37 +79,50 @@ def _check_inputs(adjacency: PathMatrix, transitivity: PathMatrix) -> None:
                 raise ValueError("transitivity matrix must be diagonal")
 
 
-def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> PathMatrix:
-    """The k-th iterate A<k>: all valid paths of at most k hops."""
+def _iterates(adjacency: PathMatrix, transitivity: PathMatrix) -> Iterator[PathMatrix]:
+    """A<0>, A<1>, ... up to the first A<k> that equals A<k+1>.
+
+    Lazy: a caller that stops after A<k> pays for k steps.
+    """
     _check_inputs(adjacency, transitivity)
     identity = identity_matrix(adjacency.n)
     current = identity
-    for _ in range(steps):
-        current = matrix_product(
+    while True:
+        yield current
+        following = matrix_product(
             matrix_union(matrix_product(current, transitivity), identity), adjacency
         )
+        if following == current:
+            return
+        current = following
+
+
+def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> PathMatrix:
+    """The k-th iterate A<k>: all valid paths of at most k hops.
+
+    Stops early at the fixpoint, which every later iterate equals.
+    """
+    for k, current in enumerate(_iterates(adjacency, transitivity)):
+        if k == steps:
+            break
     return current
 
 
 def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix:
-    """The closure A* = A<n-1>: every valid path between every zone pair."""
+    """The closure A* = A<n-1>: every valid path between every zone pair.
+
+    Runs at most n-1 steps and returns at the first fixpoint.
+    """
     return iterate(adjacency, transitivity, adjacency.n - 1)
 
 
 def check_convergence(adjacency: PathMatrix, transitivity: PathMatrix) -> int:
     """First k with A<k> = A<k+1>; raises NoConvergence if that exceeds n-1."""
-    _check_inputs(adjacency, transitivity)
-    identity = identity_matrix(adjacency.n)
     bound = adjacency.n - 1
-    current = identity
-    for k in range(bound + 1):
-        following = matrix_product(
-            matrix_union(matrix_product(current, transitivity), identity), adjacency
-        )
-        if following == current:
-            return k
-        current = following
-    raise NoConvergence(f"no fixpoint within {bound} iterations")
+    for k, _ in enumerate(_iterates(adjacency, transitivity)):
+        if k > bound:
+            raise NoConvergence(f"no fixpoint within {bound} iterations")
+    return k
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:

@@ -24,6 +24,7 @@ from .mapper import (
 )
 from .policy import (
     EMPTY_SERVICES,
+    UNBOUNDED,
     MeasurementValue,
     PolicyContext,
     PolicyRule,
@@ -31,7 +32,6 @@ from .policy import (
     QosValue,
     SecurityValue,
     ServiceSet,
-    _Unbounded,
     parse_service_token,
     parse_services,
 )
@@ -53,7 +53,7 @@ def value_to_text(value: PolicyValue) -> str:
     if isinstance(value, (SecurityValue, MeasurementValue)):
         return value.services.text()
     if isinstance(value, QosValue):
-        if isinstance(value.bandwidth, _Unbounded):
+        if value.bandwidth == UNBOUNDED:
             raise ValueError("unbounded bandwidth is not serializable")
         # A predicate-less value only arises in derived/intended delta
         # reporting (the no-rule baseline); it is display-only.
@@ -102,7 +102,7 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
         return DeviceAssignment(
             entry["device"], entry["interface"], Direction(entry["direction"]), rule
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
 
@@ -110,12 +110,13 @@ def _rule_line(entry: dict) -> str:
     return f"{entry['context']} {entry['src']} -> {entry['dst']} : {entry['value']}"
 
 
+def _entries(assignments) -> list[dict]:
+    return [assignment_to_dict(a) for a in sorted(assignments, key=DeviceAssignment.sort_key)]
+
+
 def map_document(assignments: Sequence[DeviceAssignment]) -> dict:
     """The policy-to-device map: a flat table plus the per-device tree."""
-    flat = sorted(
-        (assignment_to_dict(a) for a in assignments),
-        key=lambda e: (e["context"], e["src"], e["dst"], e["device"], e["interface"], e["direction"]),
-    )
+    flat = _entries(assignments)
     tree: dict = {}
     for entry in flat:
         rules = (
@@ -169,10 +170,10 @@ def delta_to_dict(delta: PolicyDelta) -> dict:
 
 
 def verify_document(report: VerificationReport) -> dict:
-    findings = sorted(
-        (finding_to_dict(f) for f in report.findings),
-        key=lambda e: (e["context"], e["src"], e["dst"], e["device"], e["interface"], e["direction"]),
-    )
+    findings = [
+        finding_to_dict(f)
+        for f in sorted(report.findings, key=lambda f: f.assignment.sort_key())
+    ]
     delta_key = lambda e: (e["context"], e["src"], e["dst"])
     return {
         "clean": report.clean,
@@ -200,19 +201,17 @@ def diff_document(
     after_unreachable: Sequence[tuple[str, str, str]],
 ) -> dict:
     """What-if diff: assignment and reachability changes between two runs."""
-    key = lambda e: (e["context"], e["src"], e["dst"], e["device"], e["interface"], e["direction"])
-    before = {tuple(sorted(d.items())): d for d in map(assignment_to_dict, before_assignments)}
-    after = {tuple(sorted(d.items())): d for d in map(assignment_to_dict, after_assignments)}
-    unreachable_dicts = lambda pairs: sorted(
-        ({"context": c, "src": s, "dst": d} for c, s, d in pairs),
-        key=lambda e: (e["context"], e["src"], e["dst"]),
-    )
+    before, after = set(before_assignments), set(after_assignments)
     before_un, after_un = set(before_unreachable), set(after_unreachable)
+
+    def pairs(unreachable):
+        return [{"context": c, "src": s, "dst": d} for c, s, d in sorted(unreachable)]
+
     return {
-        "removed": sorted((before[k] for k in before.keys() - after.keys()), key=key),
-        "added": sorted((after[k] for k in after.keys() - before.keys()), key=key),
-        "new_unreachable": unreachable_dicts(after_un - before_un),
-        "resolved_unreachable": unreachable_dicts(before_un - after_un),
+        "removed": _entries(before - after),
+        "added": _entries(after - before),
+        "new_unreachable": pairs(after_un - before_un),
+        "resolved_unreachable": pairs(before_un - after_un),
     }
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .algebra import DirectedDevice
+from .algebra import DirectedDevice, PathMatrix
 from .errors import ContextMismatch, UnreachablePair
 from .policy import (
     EMPTY_SERVICES,
@@ -52,7 +52,7 @@ from .policy import (
     compose_parallel,
     derive_end_to_end,
 )
-from .topology import PathMatrix, ZoneConduitModel
+from .topology import ZoneConduitModel
 
 
 class Direction(str, Enum):
@@ -92,6 +92,10 @@ class DeviceAssignment:
     interface: str
     direction: Direction
     rule: PolicyRule
+
+    @property
+    def site(self) -> tuple[str, str, Direction]:
+        return self.device_id, self.interface, self.direction
 
     def sort_key(self):
         return (
@@ -153,10 +157,17 @@ def path_devices(astar: PathMatrix, i: int, j: int) -> frozenset[DirectedDevice]
     return frozenset(out)
 
 
+def realizations(dev: DirectedDevice) -> tuple[tuple[str, Direction], tuple[str, Direction]]:
+    """The (interface, direction) pairs that filter dev's source-to-destination
+    traffic: inbound on its ingress interface and outbound on its egress."""
+    return (dev.ingress_interface, Direction.INBOUND), (dev.egress_interface, Direction.OUTBOUND)
+
+
 def _placement(dev: DirectedDevice, convention: DirectionConvention) -> tuple[str, Direction]:
+    ingress_inbound, egress_outbound = realizations(dev)
     if convention is DirectionConvention.INGRESS_INBOUND:
-        return dev.ingress_interface, Direction.INBOUND
-    return dev.egress_interface, Direction.OUTBOUND
+        return ingress_inbound
+    return egress_outbound
 
 
 def assignments_for_rule(
@@ -213,34 +224,30 @@ def map_policy(
     return out
 
 
-def _realizations(occurrences: frozenset[DirectedDevice], device_id: str):
-    """(interface, direction) pairs that filter the pair's traffic at a device."""
-    out = set()
+Realizers = dict[tuple[str, str, Direction], list[DirectedDevice]]
+
+
+def realizer_index(occurrences: Iterable[DirectedDevice]) -> Realizers:
+    """(device, interface, direction) -> the occurrences an assignment there filters."""
+    index: Realizers = {}
     for dev in occurrences:
-        if dev.device_id != device_id:
-            continue
-        out.add((dev.ingress_interface, Direction.INBOUND))
-        out.add((dev.egress_interface, Direction.OUTBOUND))
-    return out
+        for interface, direction in realizations(dev):
+            index.setdefault((dev.device_id, interface, direction), []).append(dev)
+    return index
 
 
-def classify_assignment(
-    assignment: DeviceAssignment, occurrences: frozenset[DirectedDevice]
-) -> AssignmentClass:
-    devices = {dev.device_id for dev in occurrences}
-    if assignment.device_id not in devices:
+def classify_assignment(assignment: DeviceAssignment, index: Realizers) -> AssignmentClass:
+    """Class of one assignment, given the realizer index of its rule's zone pair."""
+    if assignment.site in index:
+        return AssignmentClass.CORRECT
+    if all(device_id != assignment.device_id for device_id, _, _ in index):
         return AssignmentClass.INCORRECT_FIREWALL
-    interfaces = set()
-    for dev in occurrences:
-        if dev.device_id == assignment.device_id:
-            interfaces.update((dev.ingress_interface, dev.egress_interface))
-    if assignment.interface not in interfaces:
-        return AssignmentClass.INCORRECT_INTERFACE
-    if (assignment.interface, assignment.direction) not in _realizations(
-        occurrences, assignment.device_id
+    if all(
+        (device_id, interface) != (assignment.device_id, assignment.interface)
+        for device_id, interface, _ in index
     ):
-        return AssignmentClass.INCORRECT_DIRECTION
-    return AssignmentClass.CORRECT
+        return AssignmentClass.INCORRECT_INTERFACE
+    return AssignmentClass.INCORRECT_DIRECTION
 
 
 def verify_assignments(
@@ -271,19 +278,18 @@ def verify_assignments(
         )
 
     pairs = sorted(set(intended) | set(by_pair))
-    occurrence_cache: dict[tuple[str, str], frozenset[DirectedDevice]] = {}
+    indexes: dict[tuple[str, str], Realizers] = {}
     for src, dst in pairs:
         i, j = model.zone_index(src), model.zone_index(dst)
-        occurrence_cache[(src, dst)] = path_devices(astar, i, j)
+        indexes[(src, dst)] = realizer_index(path_devices(astar, i, j))
 
-    findings = []
-    for assignment in existing:
-        pair = (assignment.rule.src, assignment.rule.dst)
-        findings.append(
-            AssignmentFinding(
-                assignment, classify_assignment(assignment, occurrence_cache[pair])
-            )
+    findings = [
+        AssignmentFinding(
+            assignment,
+            classify_assignment(assignment, indexes[(assignment.rule.src, assignment.rule.dst)]),
         )
+        for assignment in existing
+    ]
 
     deltas = []
     overprovisioned = []
@@ -295,29 +301,20 @@ def verify_assignments(
             # Unreachable pair: nothing flows, so nothing to compare; any
             # assignments here were already flagged incorrect-firewall.
             continue
-        occurrences = occurrence_cache[(src, dst)]
-        device_policies = {}
-        for dev in occurrences:
-            # An assignment gives this occurrence its value only if it sits
-            # where this orientation's traffic actually crosses the device.
-            realizers = {
-                (dev.ingress_interface, Direction.INBOUND),
-                (dev.egress_interface, Direction.OUTBOUND),
-            }
-            values: list[PolicyValue] = []
-            for assignment in by_pair.get((src, dst), ()):
-                if (
-                    assignment.device_id == dev.device_id
-                    and (assignment.interface, assignment.direction) in realizers
-                    and assignment.rule.value not in values
-                ):
-                    values.append(assignment.rule.value)
-            if values:
-                device_policies[dev] = reduce(
-                    lambda p, q: compose_parallel(ctx, p, q), values
-                )
-            else:
-                device_policies[dev] = default
+        index = indexes[(src, dst)]
+        # An assignment gives an occurrence its value only if it sits where
+        # that orientation's traffic actually crosses the device.
+        values: dict[DirectedDevice, list[PolicyValue]] = {
+            dev: [] for devs in index.values() for dev in devs
+        }
+        for assignment in by_pair.get((src, dst), ()):
+            for dev in index.get(assignment.site, ()):
+                if assignment.rule.value not in values[dev]:
+                    values[dev].append(assignment.rule.value)
+        device_policies = {
+            dev: reduce(lambda p, q: compose_parallel(ctx, p, q), found) if found else default
+            for dev, found in values.items()
+        }
 
         derived = derive_end_to_end(ctx, device_policies, paths)
         rule = intended.get((src, dst))
@@ -325,9 +322,9 @@ def verify_assignments(
         if ctx is PolicyContext.QOS:
             assert isinstance(derived, QosValue) and isinstance(wanted, QosValue)
             delta = PolicyDelta(src, dst, ctx, wanted, derived)
-            if _qos_less(derived, wanted):
+            if derived.bandwidth < wanted.bandwidth:
                 deltas.append(delta)
-            elif _qos_less(wanted, derived):
+            elif wanted.bandwidth < derived.bandwidth:
                 overprovisioned.append(delta)
         elif derived != wanted:
             deltas.append(PolicyDelta(src, dst, ctx, wanted, derived))
@@ -351,12 +348,3 @@ def _absent_device_default(ctx: PolicyContext) -> PolicyValue:
         return MeasurementValue(EMPTY_SERVICES)
     return QosValue(Fraction(0), None)
 
-
-def _qos_less(a: QosValue, b: QosValue) -> bool:
-    from .policy import _Unbounded  # sentinel comparison only
-
-    if isinstance(a.bandwidth, _Unbounded):
-        return False
-    if isinstance(b.bandwidth, _Unbounded):
-        return True
-    return a.bandwidth < b.bandwidth

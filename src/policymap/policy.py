@@ -36,6 +36,7 @@ parse error.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -144,22 +145,9 @@ ANY_SERVICES = ServiceSet.from_ranges(
 )
 
 
-class _Unbounded:
-    """Bandwidth value ordered above every rational; serial identity for qos."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _Unbounded()
-Bandwidth = Union[Fraction, _Unbounded]
+# Bandwidth ordered above every rational: the serial identity for qos.
+UNBOUNDED = math.inf
+Bandwidth = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,7 @@ class QosValue:
     service: ServiceSet | None
 
     def __post_init__(self):
-        if isinstance(self.bandwidth, Fraction) and self.bandwidth < 0:
+        if self.bandwidth < 0:
             raise ValueError("bandwidth must be non-negative")
 
 
@@ -225,20 +213,6 @@ def _merge_qos_predicates(p: QosValue, q: QosValue) -> ServiceSet | None:
     return p.service
 
 
-def _min_bandwidth(a: Bandwidth, b: Bandwidth) -> Bandwidth:
-    if isinstance(a, _Unbounded):
-        return b
-    if isinstance(b, _Unbounded):
-        return a
-    return min(a, b)
-
-
-def _sum_bandwidth(a: Bandwidth, b: Bandwidth) -> Bandwidth:
-    if isinstance(a, _Unbounded) or isinstance(b, _Unbounded):
-        return UNBOUNDED
-    return a + b
-
-
 def compose_serial(ctx: PolicyContext, p: PolicyValue, q: PolicyValue) -> PolicyValue:
     """Combine the values of two devices in series on one path."""
     _require_context(ctx, p, q)
@@ -246,7 +220,7 @@ def compose_serial(ctx: PolicyContext, p: PolicyValue, q: PolicyValue) -> Policy
         return SecurityValue(p.services.intersection(q.services))
     if ctx is PolicyContext.MEASUREMENT:
         return MeasurementValue(p.services.union(q.services))
-    return QosValue(_min_bandwidth(p.bandwidth, q.bandwidth), _merge_qos_predicates(p, q))
+    return QosValue(min(p.bandwidth, q.bandwidth), _merge_qos_predicates(p, q))
 
 
 def compose_parallel(ctx: PolicyContext, p: PolicyValue, q: PolicyValue) -> PolicyValue:
@@ -256,7 +230,7 @@ def compose_parallel(ctx: PolicyContext, p: PolicyValue, q: PolicyValue) -> Poli
         return SecurityValue(p.services.union(q.services))
     if ctx is PolicyContext.MEASUREMENT:
         return MeasurementValue(p.services.intersection(q.services))
-    return QosValue(_sum_bandwidth(p.bandwidth, q.bandwidth), _merge_qos_predicates(p, q))
+    return QosValue(p.bandwidth + q.bandwidth, _merge_qos_predicates(p, q))
 
 
 def serial_identity(ctx: PolicyContext) -> PolicyValue:

@@ -23,7 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import IO, Union
 
-from .algebra import ONE, ZERO, DevicePath, DirectedDevice, PathSet, PhysicalDevice
+from .algebra import ONE, ZERO, DevicePath, DirectedDevice, PathMatrix, PathSet, PhysicalDevice
 from .errors import MalformedDocument, SchemaError, UnknownZone
 
 ZONE_KIND = "zone"
@@ -222,12 +222,6 @@ class ZoneConduitModel:
     def zone_names(self) -> list[str]:
         return [z.name for z in self.zones]
 
-    def directed_devices(self) -> list[DirectedDevice]:
-        out = []
-        for pair in sorted(self.conduits):
-            out.extend(sorted(self.conduits[pair], key=lambda d: d.device_id))
-        return out
-
 
 def build_model(
     topology: NetworkTopology,
@@ -305,29 +299,6 @@ def build_model(
     )
 
 
-@dataclass(frozen=True)
-class PathMatrix:
-    """Square matrix of path sets indexed by zone."""
-
-    cells: tuple[tuple[PathSet, ...], ...]
-
-    def __post_init__(self):
-        for row in self.cells:
-            if len(row) != len(self.cells):
-                raise ValueError("matrix is not square")
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
-
-    def cell(self, i: int, j: int) -> PathSet:
-        return self.cells[i][j]
-
-    def __getitem__(self, index: tuple[int, int]) -> PathSet:
-        i, j = index
-        return self.cells[i][j]
-
-
 def adjacency_matrix(model: ZoneConduitModel) -> PathMatrix:
     """Single-step path matrix: ONE on the diagonal, conduit devices elsewhere."""
     n = model.n
@@ -357,49 +328,3 @@ def transitivity_matrix(model: ZoneConduitModel) -> PathMatrix:
             row[i] = ONE
         rows.append(tuple(row))
     return PathMatrix(tuple(rows))
-
-
-def model_to_dict(model: ZoneConduitModel) -> dict:
-    """JSON-shaped form of a model; inverse of model_from_dict."""
-    names = model.zone_names()
-    return {
-        "zones": [{"name": z.name, "transitive": z.transitive} for z in model.zones],
-        "devices": {
-            dev_id: list(dev.interfaces) for dev_id, dev in sorted(model.devices.items())
-        },
-        "conduits": [
-            {
-                "from": names[i],
-                "to": names[j],
-                "devices": [
-                    {
-                        "device": d.device_id,
-                        "ingress": d.ingress_interface,
-                        "egress": d.egress_interface,
-                    }
-                    for d in sorted(model.conduits[(i, j)], key=lambda d: d.device_id)
-                ],
-            }
-            for (i, j) in sorted(model.conduits)
-        ],
-    }
-
-
-def model_from_dict(payload: dict) -> ZoneConduitModel:
-    zones = tuple(
-        Zone(index, entry["name"], bool(entry["transitive"]))
-        for index, entry in enumerate(payload["zones"])
-    )
-    index_of = {zone.name: zone.index for zone in zones}
-    devices = {
-        dev_id: PhysicalDevice(dev_id, tuple(interfaces))
-        for dev_id, interfaces in payload["devices"].items()
-    }
-    conduits: dict[tuple[int, int], frozenset[DirectedDevice]] = {}
-    for entry in payload["conduits"]:
-        i, j = index_of[entry["from"]], index_of[entry["to"]]
-        conduits[(i, j)] = frozenset(
-            DirectedDevice(devices[d["device"]], i, j, d["ingress"], d["egress"])
-            for d in entry["devices"]
-        )
-    return ZoneConduitModel(zones=zones, devices=devices, conduits=conduits)

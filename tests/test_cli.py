@@ -75,6 +75,13 @@ class TestMap:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())["assignments"]) == 7
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "map.json"
+        code, out, err = run(capsys, "map", DIAMOND, POLICY, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
 
 class TestVerify:
     def _mapfile(self, capsys, tmp_path, policy=POLICY):

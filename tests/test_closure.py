@@ -7,6 +7,7 @@ from policymap.algebra import (
     ZERO,
     DevicePath,
     DirectedDevice,
+    PathMatrix,
     PathSet,
     PhysicalDevice,
 )
@@ -22,7 +23,6 @@ from policymap.closure import (
 from policymap.errors import DimensionMismatch, NoConvergence
 from policymap.topology import (
     NetworkTopology,
-    PathMatrix,
     TopologyLink,
     TopologyNode,
     adjacency_matrix,
@@ -129,7 +129,14 @@ class TestConvergence:
             a, t = am_tm(model)
             k = check_convergence(a, t)
             assert k <= model.n - 1
-            assert iterate(a, t, max(k, 1)) == brute_force_paths(model)
+            oracle = brute_force_paths(model)
+            assert iterate(a, t, max(k, 1)) == oracle
+            # The early-stopping closure is the paper's literal A<n-1>.
+            assert right_iterate(a, t) == iterate(a, t, model.n - 1)
+            # Every prefix of a valid path is valid, so the fixpoint comes
+            # exactly at the longest path's hop count.
+            cells = (oracle.cell(i, j) for i in range(model.n) for j in range(model.n))
+            assert k == max((len(p) for cell in cells for p in cell), default=0)
 
     def test_monotone_iterates(self):
         rng = random.Random(0xBEEF)

@@ -86,6 +86,8 @@ class TestAssignmentsIO:
             '{"assignments": [{"device": "A"}]}',
             '[{"device": "A", "interface": "e0", "direction": "sideways",'
             ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+            '[{"device": "A", "interface": "e0", "direction": "inbound",'
+            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1/0MB/s"}]',
         ],
     )
     def test_malformed_rejected(self, text):
