@@ -43,7 +43,7 @@ def _read(path: str, load):
     """load(path), with unreadable or malformed input as a one-line failure."""
     try:
         return load(path)
-    except PolicymapError as exc:
+    except (PolicymapError, UnicodeDecodeError) as exc:
         raise _Failure(1, f"{path}: {type(exc).__name__}: {exc}") from exc
     except OSError as exc:
         raise _Failure(1, str(exc)) from exc

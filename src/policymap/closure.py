@@ -10,12 +10,15 @@ iteration:
 
 Each iterate is a function of the one before, so once A<k> = A<k+1>
 every later iterate is the same matrix.  Elementary-path validity bounds
-every path at n-1 hops, so that fixpoint comes within n-1 steps; the
-iteration stops at the first one and yields the same matrix as running
-all n-1 steps.  Matrix product and union are the cellwise lifts of the
-path-set operations; within one iteration every cell of the next matrix
-depends only on the frozen previous matrix, so cells could be computed
-concurrently.
+every path at n-1 hops, so that fixpoint comes within n-1 steps.
+
+iterate evaluates the recurrence literally, as the paper's reference:
+matrix product and union are the cellwise lifts of the path-set
+operations, each step recomputes every path it already has, and the
+iteration stops at the first fixpoint.  right_iterate, the closure the
+pipeline uses, evaluates the same recurrence semi-naively (Bancilhon
+1986): each round extends only the paths the round before found first,
+by one directed device, and the result is the same matrix A<n-1>.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -26,7 +29,16 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .algebra import ONE, ZERO, DevicePath, PathMatrix, PathSet, concat_sets, union_sets
+from .algebra import (
+    ONE,
+    ZERO,
+    DevicePath,
+    DirectedDevice,
+    PathMatrix,
+    PathSet,
+    concat_sets,
+    union_sets,
+)
 from .errors import DimensionMismatch, NoConvergence
 from .topology import ZoneConduitModel
 
@@ -111,9 +123,76 @@ def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> Path
 def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix:
     """The closure A* = A<n-1>: every valid path between every zone pair.
 
-    Runs at most n-1 steps and returns at the first fixpoint.
+    Evaluates the recurrence semi-naively: round 1 is the off-diagonal
+    adjacency, and round k+1 extends only the paths first found in round
+    k that end in a transitive zone, each by one directed device leaving
+    that zone (Delta<k+1> = (Delta<k> . T) . A over nonzero cells).  A
+    path's one-step-shorter prefix is unique, so no path is found twice
+    and the loop ends when a round finds nothing new.  Each frontier
+    entry carries bitmasks of the zones it visits and the devices it
+    uses, so the validity test of one extension is two ``&`` operations;
+    every path is still built, and checked, as a DevicePath.  The result
+    equals iterate(adjacency, transitivity, n-1), the paper's literal
+    recurrence.
+
+    Beyond iterate's input checks, raises ValueError unless every
+    off-diagonal cell (i, j) of A holds only one-step paths from i to j
+    and every diagonal cell of T is ONE or ZERO.
     """
-    return iterate(adjacency, transitivity, adjacency.n - 1)
+    _check_inputs(adjacency, transitivity)
+    n = adjacency.n
+    transitive = []
+    for z in range(n):
+        flag = transitivity.cell(z, z)
+        if flag not in (ONE, ZERO):
+            raise ValueError(f"transitivity diagonal ({z}, {z}) is neither ONE nor ZERO")
+        transitive.append(flag == ONE)
+
+    device_bit: dict[str, int] = {}
+    # Per zone: (directed device leaving it, its to-zone's bit, its physical device's bit).
+    leaving: list[list[tuple[DirectedDevice, int, int]]] = [[] for _ in range(n)]
+    found: list[list[list[DevicePath]]] = [[[] for _ in range(n)] for _ in range(n)]
+    # Frontier entry: (start zone, steps, visited-zone mask, used-device mask),
+    # kept only for paths that end in a transitive zone.
+    frontier = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for path in adjacency.cell(i, j):
+                if len(path) != 1 or (path.steps[0].from_zone, path.steps[0].to_zone) != (i, j):
+                    raise ValueError(
+                        f"adjacency cell ({i}, {j}) holds {path.text()}, "
+                        f"not a one-step path from {i} to {j}"
+                    )
+                step = path.steps[0]
+                bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
+                leaving[i].append((step, 1 << j, bit))
+                found[i][j].append(path)
+                if transitive[j]:
+                    frontier.append((i, path.steps, (1 << i) | (1 << j), bit))
+    while frontier:
+        grown = []
+        for start, steps, zones, devices in frontier:
+            row = found[start]
+            for step, zone_bit, bit in leaving[steps[-1].to_zone]:
+                if zones & zone_bit or devices & bit:
+                    continue
+                path = DevicePath(steps + (step,))
+                row[step.to_zone].append(path)
+                if transitive[step.to_zone]:
+                    grown.append((start, path.steps, zones | zone_bit, devices | bit))
+        frontier = grown
+
+    return PathMatrix(
+        tuple(
+            tuple(
+                ONE if i == j else PathSet(frozenset(paths)) if paths else ZERO
+                for j, paths in enumerate(row)
+            )
+            for i, row in enumerate(found)
+        )
+    )
 
 
 def check_convergence(adjacency: PathMatrix, transitivity: PathMatrix) -> int:

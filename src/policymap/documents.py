@@ -63,6 +63,9 @@ def value_to_text(value: PolicyValue) -> str:
 
 
 _QOS_TEXT_RE = re.compile(r"^(\S+)\s+min\s+(\S+?)\s*MB/s$")
+# The forms bandwidth_text prints; anything else (an exponent above all)
+# is rejected before Fraction can build a huge integer from it.
+_BANDWIDTH_TEXT_RE = re.compile(r"[0-9]+(?:\.[0-9]+|/[0-9]+)?")
 
 
 def value_from_text(context: PolicyContext, text: str) -> PolicyValue:
@@ -72,6 +75,8 @@ def value_from_text(context: PolicyContext, text: str) -> PolicyValue:
         if not match:
             raise ValueError(f"bad qos value {text!r}")
         service, amount = match.groups()
+        if not _BANDWIDTH_TEXT_RE.fullmatch(amount):
+            raise ValueError(f"bad bandwidth {amount!r}")
         predicate = ServiceSet.from_ranges(parse_service_token(service))
         return QosValue(Fraction(amount), predicate)
     services = EMPTY_SERVICES if text == "none" else parse_services(text)

@@ -20,7 +20,7 @@ policy-free.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Union
 
 from .algebra import ONE, ZERO, DevicePath, DirectedDevice, PathMatrix, PathSet, PhysicalDevice
@@ -198,8 +198,10 @@ class ZoneConduitModel:
     zones: tuple[Zone, ...]
     devices: dict[str, PhysicalDevice]
     conduits: dict[tuple[int, int], frozenset[DirectedDevice]]
+    _index_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_index_of", {zone.name: zone.index for zone in self.zones})
         for (i, j), devs in self.conduits.items():
             if not devs:
                 raise ValueError(f"empty conduit ({i}, {j})")
@@ -214,10 +216,10 @@ class ZoneConduitModel:
         return len(self.zones)
 
     def zone_index(self, name: str) -> int:
-        for zone in self.zones:
-            if zone.name == name:
-                return zone.index
-        raise UnknownZone(f"unknown zone {name!r}")
+        try:
+            return self._index_of[name]
+        except KeyError:
+            raise UnknownZone(f"unknown zone {name!r}") from None
 
     def zone_names(self) -> list[str]:
         return [z.name for z in self.zones]

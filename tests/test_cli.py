@@ -1,10 +1,19 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import policymap
 from policymap.cli import main
+from policymap.closure import brute_force_paths
+from policymap.topology import build_model
 
 from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, data_path
+from modelgen import random_topology
 
 DIAMOND = str(data_path("diamond.graphml"))
 POLICY = str(data_path("diamond_ssh.policy"))
@@ -75,6 +84,14 @@ class TestMap:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())["assignments"]) == 7
 
+    def test_non_utf8_policy_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "latin.policy"
+        bad.write_bytes(b"zone Z1 transitive\n\xff\xfe bad\n")
+        code, out, err = run(capsys, "map", DIAMOND, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UnicodeDecodeError" in err
+
     def test_unwritable_out_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "map.json"
         code, out, err = run(capsys, "map", DIAMOND, POLICY, "--out", str(target))
@@ -128,6 +145,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", DIAMOND, POLICY, str(bad))
         assert code == 1
         assert "AssignmentsError" in err
+
+    def test_non_utf8_assignments_exit_1(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff\xfe[]")
+        code, out, err = run(capsys, "verify", DIAMOND, POLICY, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UnicodeDecodeError" in err
 
 
 class TestPaths:
@@ -242,3 +267,77 @@ class TestExitCodeContract:
     def test_table(self, capsys, argv, expected):
         code, _, _ = run(capsys, *argv)
         assert code == expected
+
+
+def _graphml_of(topology) -> str:
+    nodes = [
+        f'<node id="{n.node_id}"><data key="k">{n.kind}</data><data key="n">{n.name}</data></node>'
+        for n in topology.nodes
+    ]
+    edges = [
+        f'<edge source="{l.firewall}" target="{l.zone}"><data key="i">{l.interface}</data></edge>'
+        for l in topology.links
+    ]
+    return (
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '<key id="k" for="node" attr.name="kind" attr.type="string"/>\n'
+        '<key id="n" for="node" attr.name="name" attr.type="string"/>\n'
+        '<key id="i" for="edge" attr.name="interface" attr.type="string"/>\n'
+        '<graph id="g" edgedefault="undirected">\n'
+        + "\n".join(nodes + edges)
+        + "\n</graph>\n</graphml>\n"
+    )
+
+
+class TestDeterminism:
+    def test_output_is_independent_of_hash_seed(self, tmp_path):
+        # Path sets are frozensets, iterated in an order that follows string
+        # hashes; no output may depend on that order.
+        rng = random.Random(0xD7)
+        names = []
+        while len(names) != 7:
+            topology, names = random_topology(rng, max_zones=7)
+        transitivity = {name: rng.random() < 0.6 for name in names}
+        closure = brute_force_paths(build_model(topology, transitivity))
+        rules = (
+            "security {} -> {} : tcp/22, tcp/443",
+            "qos {} -> {} : tcp/80 min 12.5MB/s",
+            "measure {} -> {} : collect udp/any",
+        )
+        pairs = [(i, j) for i in range(7) for j in range(7) if i != j and closure.cell(i, j)]
+        lines = [
+            f"zone {name} {'transitive' if flag else 'non-transitive'}"
+            for name, flag in transitivity.items()
+        ] + [rules[k % 3].format(names[i], names[j]) for k, (i, j) in enumerate(pairs)]
+        graphml_path = tmp_path / "net.graphml"
+        graphml_path.write_text(_graphml_of(topology))
+        policy_path = tmp_path / "net.policy"
+        policy_path.write_text("\n".join(lines) + "\n")
+
+        flipped = names[0]
+        flip = "--set-non-transitive" if transitivity[flipped] else "--set-transitive"
+        commands = (
+            ("map", "--format", "structured"),
+            ("whatif", "--format", "structured",
+             "--drop-device", topology.firewalls()[0].name, flip, flipped),
+        )
+        src = str(Path(policymap.__file__).resolve().parents[1])
+
+        def outputs(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            stdouts = []
+            for command, *options in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "policymap.cli", command,
+                     str(graphml_path), str(policy_path), *options],
+                    capture_output=True, env=env, timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                stdouts.append(proc.stdout)
+            return stdouts
+
+        first = outputs("1")
+        assert json.loads(first[0])["assignments"]
+        assert json.loads(first[1])["removed"]
+        assert first == outputs("2")

@@ -31,11 +31,27 @@ from policymap.topology import (
 )
 
 from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN
-from modelgen import random_model
+from modelgen import random_model, random_topology
 
 
 def am_tm(model):
     return adjacency_matrix(model), transitivity_matrix(model)
+
+
+def foreign_zone_matrix():
+    """A lawful-looking 2x2 matrix whose cells hold paths over four foreign zones."""
+
+    def step(name, i, j):
+        return DevicePath(
+            (DirectedDevice(PhysicalDevice(name, ("e0", "e1")), i, j, "e0", "e1"),)
+        )
+
+    return PathMatrix(
+        (
+            (ONE, PathSet.of(step("X", 1, 2), step("Z", 3, 4))),
+            (PathSet.of(step("Y", 2, 3)), ONE),
+        )
+    )
 
 
 class TestRightIterate:
@@ -72,6 +88,22 @@ class TestRightIterate:
         off = PathMatrix(tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
         with pytest.raises(ValueError, match="diagonal"):
             right_iterate(off, t)
+
+    def test_adjacency_cell_must_hold_one_step_paths_between_its_zones(self):
+        # Cell (0, 1) holds X12 and Z34, neither a step from zone 0 to zone 1.
+        with pytest.raises(ValueError, match="not a one-step path from 0 to 1"):
+            right_iterate(foreign_zone_matrix(), identity_matrix(2))
+
+    def test_transitivity_diagonal_must_be_one_or_zero(self, diamond_model):
+        a, _ = am_tm(diamond_model)
+        odd = PathMatrix(
+            tuple(
+                tuple(a.cell(0, 1) if i == j == 0 else ZERO for j in range(4))
+                for i in range(4)
+            )
+        )
+        with pytest.raises(ValueError, match="neither ONE nor ZERO"):
+            right_iterate(a, odd)
 
 
 class TestBruteForce:
@@ -152,22 +184,10 @@ class TestConvergence:
                 previous = current
 
     def test_crafted_matrix_fails_to_converge(self):
-        # A lawful-looking 2x2 matrix whose cells hold paths over four
-        # foreign zones: products keep growing past the n-1 bound, which
-        # is exactly the bug class NoConvergence exists to catch.
-        def step(name, i, j):
-            return DevicePath(
-                (DirectedDevice(PhysicalDevice(name, ("e0", "e1")), i, j, "e0", "e1"),)
-            )
-
-        a = PathMatrix(
-            (
-                (ONE, PathSet.of(step("X", 1, 2), step("Z", 3, 4))),
-                (PathSet.of(step("Y", 2, 3)), ONE),
-            )
-        )
+        # Products of the foreign-zone matrix keep growing past the n-1
+        # bound, which is exactly the bug class NoConvergence exists to catch.
         with pytest.raises(NoConvergence):
-            check_convergence(a, identity_matrix(2))
+            check_convergence(foreign_zone_matrix(), identity_matrix(2))
 
 
 class TestClosureProperties:
@@ -189,6 +209,46 @@ class TestClosureProperties:
                         assert len(p) <= model.n - 1
                         for zone in p.zone_sequence()[1:-1]:
                             assert zone in transitive
+
+    def test_random_models_and_whatif_variants_match_oracle_and_reference(self):
+        rng = random.Random(0x5E1)
+        for _ in range(50):
+            topology, names = random_topology(rng)
+            transitivity = {name: rng.random() < 0.6 for name in names}
+            dropped = rng.choice(topology.firewalls()).node_id
+            flipped = rng.choice(names)
+            variants = (
+                (topology, transitivity),
+                (
+                    NetworkTopology(
+                        tuple(n for n in topology.nodes if n.node_id != dropped),
+                        tuple(l for l in topology.links if l.firewall != dropped),
+                    ),
+                    transitivity,
+                ),
+                (topology, {**transitivity, flipped: not transitivity[flipped]}),
+            )
+            for variant_topology, variant_transitivity in variants:
+                model = build_model(variant_topology, variant_transitivity)
+                a, t = am_tm(model)
+                closure = right_iterate(a, t)
+                assert closure == brute_force_paths(model)
+                assert closure == iterate(a, t, model.n - 1)
+
+    def test_sparse_sixty_zone_models_match_oracle(self):
+        # Many zones, few paths: a dense loop that pays n^3 cell products
+        # per round, empty cells included, would make this test slow.
+        # Draws with fewer zones but as many firewalls are dense, and their
+        # path counts (the oracle's time too) grow exponentially, so only
+        # the large-zone draws are checked.
+        rng = random.Random(0x600)
+        checked = 0
+        while checked < 3:
+            model = random_model(rng, max_zones=60, max_firewalls=80)
+            if model.n < 50:
+                continue
+            assert right_iterate(*am_tm(model)) == brute_force_paths(model)
+            checked += 1
 
     def test_non_transitive_endpoints_still_reachable(self, diamond_topology):
         # Destination zone's own flag never blocks paths ending there.

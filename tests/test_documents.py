@@ -88,6 +88,8 @@ class TestAssignmentsIO:
             ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
             '[{"device": "A", "interface": "e0", "direction": "inbound",'
             ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1/0MB/s"}]',
+            '[{"device": "A", "interface": "e0", "direction": "inbound",'
+            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1e999999999MB/s"}]',
         ],
     )
     def test_malformed_rejected(self, text):
