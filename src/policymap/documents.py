@@ -4,14 +4,13 @@ The structured forms are JSON-shaped trees with fixed field names; the
 map document doubles as the assignments file format for verification, so
 a map run can be audited back without translation.  All lists are sorted
 and all dict keys are emitted in sorted order, making every document a
-deterministic function of its inputs.
+deterministic function of its inputs.  Rule values are printed and parsed
+by policy.py, in the policy file's grammar; this module has no value syntax.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import AssignmentsError
@@ -22,67 +21,7 @@ from .mapper import (
     PolicyDelta,
     VerificationReport,
 )
-from .policy import (
-    EMPTY_SERVICES,
-    UNBOUNDED,
-    MeasurementValue,
-    PolicyContext,
-    PolicyRule,
-    PolicyValue,
-    QosValue,
-    SecurityValue,
-    ServiceSet,
-    parse_service_token,
-    parse_services,
-)
-
-
-def bandwidth_text(value: Fraction) -> str:
-    """Exact decimal form when one exists (up to six places), else p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    for places in range(1, 7):
-        scaled = value * 10**places
-        if scaled.denominator == 1:
-            digits = str(scaled.numerator).rjust(places + 1, "0")
-            return digits[:-places] + "." + digits[-places:]
-    return f"{value.numerator}/{value.denominator}"
-
-
-def value_to_text(value: PolicyValue) -> str:
-    if isinstance(value, (SecurityValue, MeasurementValue)):
-        return value.services.text()
-    if isinstance(value, QosValue):
-        if value.bandwidth == UNBOUNDED:
-            raise ValueError("unbounded bandwidth is not serializable")
-        # A predicate-less value only arises in derived/intended delta
-        # reporting (the no-rule baseline); it is display-only.
-        head = "" if value.service is None else f"{value.service.text()} "
-        return f"{head}min {bandwidth_text(value.bandwidth)}MB/s"
-    raise ValueError(f"not a policy value: {value!r}")
-
-
-_QOS_TEXT_RE = re.compile(r"^(\S+)\s+min\s+(\S+?)\s*MB/s$")
-# The forms bandwidth_text prints; anything else (an exponent above all)
-# is rejected before Fraction can build a huge integer from it.
-_BANDWIDTH_TEXT_RE = re.compile(r"[0-9]+(?:\.[0-9]+|/[0-9]+)?")
-
-
-def value_from_text(context: PolicyContext, text: str) -> PolicyValue:
-    text = text.strip()
-    if context is PolicyContext.QOS:
-        match = _QOS_TEXT_RE.match(text)
-        if not match:
-            raise ValueError(f"bad qos value {text!r}")
-        service, amount = match.groups()
-        if not _BANDWIDTH_TEXT_RE.fullmatch(amount):
-            raise ValueError(f"bad bandwidth {amount!r}")
-        predicate = ServiceSet.from_ranges(parse_service_token(service))
-        return QosValue(Fraction(amount), predicate)
-    services = EMPTY_SERVICES if text == "none" else parse_services(text)
-    if context is PolicyContext.SECURITY:
-        return SecurityValue(services)
-    return MeasurementValue(services)
+from .policy import PolicyContext, PolicyRule, value_from_text, value_to_text
 
 
 def assignment_to_dict(assignment: DeviceAssignment) -> dict:
@@ -98,7 +37,12 @@ def assignment_to_dict(assignment: DeviceAssignment) -> dict:
     }
 
 
+_FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
+
+
 def assignment_from_dict(entry: dict) -> DeviceAssignment:
+    if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in _FIELDS):
+        raise AssignmentsError(f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}")
     try:
         context = PolicyContext(entry["context"])
         rule = PolicyRule(
@@ -107,7 +51,7 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
         return DeviceAssignment(
             entry["device"], entry["interface"], Direction(entry["direction"]), rule
         )
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
 

@@ -26,12 +26,14 @@ along each path.
 Policy files are line-oriented ('#' starts a comment):
 
     zone <name> transitive|non-transitive
-    security <src> -> <dst> : <proto>/<port|lo-hi|any>[, ...]
-    qos <src> -> <dst> : <proto>/<port> min <number>MB/s
-    measure <src> -> <dst> : collect <proto>/<port|any>
+    security <src> -> <dst> : <services>
+    qos <src> -> <dst> : <services> min <N|N.N|N/N>MB/s
+    measure <src> -> <dst> : collect <services>
 
-At most one rule per ordered zone pair per context; duplicates are a
-parse error.
+<services> is "none" or a comma-separated list of <proto>/<port|lo-hi|any>;
+digits are ASCII only.  value_to_text and value_from_text, here alone,
+print and parse the value after the colon, for policy and assignments
+files alike.  At most one rule per ordered zone pair per context.
 """
 
 from __future__ import annotations
@@ -68,21 +70,20 @@ PORT_MAX = 65535
 class ServiceSet:
     """A normalized set of (protocol, port range) predicates.
 
-    Ranges are closed intervals, kept sorted with overlapping or adjacent
-    ranges of the same protocol merged, so structural equality is semantic
-    equality.  EMPTY_SERVICES (deny-all) and ANY_SERVICES bound the subset
-    order.
+    Ranges are closed intervals; construction sorts them and merges
+    overlapping or adjacent ranges of the same protocol, so structural
+    equality is semantic equality.  EMPTY_SERVICES (deny-all) and
+    ANY_SERVICES bound the subset order.
     """
 
     ranges: tuple[tuple[str, int, int], ...] = ()
 
     def __post_init__(self):
-        if self.ranges != _normalize(self.ranges):
-            raise ValueError("ServiceSet ranges are not normalized; use from_ranges")
+        object.__setattr__(self, "ranges", _normalize(self.ranges))
 
     @classmethod
     def from_ranges(cls, ranges) -> "ServiceSet":
-        return cls(_normalize(tuple(ranges)))
+        return cls(tuple(ranges))
 
     def union(self, other: "ServiceSet") -> "ServiceSet":
         return ServiceSet.from_ranges(self.ranges + other.ranges)
@@ -310,11 +311,20 @@ class PolicyDocument:
 
 
 _ZONE_RE = re.compile(r"^zone\s+(\S+)\s+(transitive|non-transitive)$")
-_SECURITY_RE = re.compile(r"^security\s+(\S+)\s*->\s*(\S+)\s*:\s*(.+)$")
-_QOS_RE = re.compile(
-    r"^qos\s+(\S+)\s*->\s*(\S+)\s*:\s*(\S+)\s+min\s+(\d+(?:\.\d+)?)\s*MB/s$"
-)
-_MEASURE_RE = re.compile(r"^measure\s+(\S+)\s*->\s*(\S+)\s*:\s*collect\s+(\S+)$")
+_RULE_RE = re.compile(r"^(security|qos|measure)\s+(\S+)\s*->\s*(\S+)\s*:\s*(.+)$")
+_RULE_CONTEXT = {
+    "security": PolicyContext.SECURITY,
+    "qos": PolicyContext.QOS,
+    "measure": PolicyContext.MEASUREMENT,
+}
+
+# The value grammar, the inverse of value_to_text.  Digits are [0-9]: int()
+# and \d would also take "2_2", "+22" and non-ASCII digits.
+_PORTS_RE = re.compile(r"([0-9]+)(?:-([0-9]+))?")
+_QOS_VALUE_RE = re.compile(r"^(.+?)\s+min\s+(\S+?)\s*MB/s$")
+# The forms bandwidth_text prints; anything else (an exponent above all, or
+# a zero denominator) is rejected before Fraction sees it.
+_BANDWIDTH_RE = re.compile(r"[0-9]+(?:\.[0-9]+|/0*[1-9][0-9]*)?")
 
 
 def parse_service_token(token: str) -> list[tuple[str, int, int]]:
@@ -328,17 +338,19 @@ def parse_service_token(token: str) -> list[tuple[str, int, int]]:
             raise ValueError(f"unknown protocol {proto!r}")
     if ports == "any":
         lo, hi = PORT_MIN, PORT_MAX
-    elif "-" in ports:
-        lo_text, _, hi_text = ports.partition("-")
-        lo, hi = int(lo_text), int(hi_text)
+    elif match := _PORTS_RE.fullmatch(ports):
+        lo, hi = int(match[1]), int(match[2] or match[1])
     else:
-        lo = hi = int(ports)
+        raise ValueError(f"bad port range {ports!r}")
     if not (PORT_MIN <= lo <= hi <= PORT_MAX):
         raise ValueError(f"bad port range {ports!r}")
     return [(p, lo, hi) for p in protos]
 
 
 def parse_services(text: str) -> ServiceSet:
+    """A comma-separated list of service tokens, or "none" for the empty set."""
+    if text == "none":
+        return EMPTY_SERVICES
     ranges = []
     for token in text.split(","):
         token = token.strip()
@@ -346,6 +358,48 @@ def parse_services(text: str) -> ServiceSet:
             raise ValueError("empty service in list")
         ranges.extend(parse_service_token(token))
     return ServiceSet.from_ranges(ranges)
+
+
+def bandwidth_text(value: Fraction) -> str:
+    """Exact decimal form when one exists (up to six places), else p/q."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    for places in range(1, 7):
+        scaled = value * 10**places
+        if scaled.denominator == 1:
+            digits = str(scaled.numerator).rjust(places + 1, "0")
+            return digits[:-places] + "." + digits[-places:]
+    return f"{value.numerator}/{value.denominator}"
+
+
+def value_to_text(value: PolicyValue) -> str:
+    if isinstance(value, (SecurityValue, MeasurementValue)):
+        return value.services.text()
+    if isinstance(value, QosValue):
+        if value.bandwidth == UNBOUNDED:
+            raise ValueError("unbounded bandwidth is not serializable")
+        # A predicate-less value only arises in derived/intended delta
+        # reporting (the no-rule baseline); it is display-only.
+        head = "" if value.service is None else f"{value.service.text()} "
+        return f"{head}min {bandwidth_text(value.bandwidth)}MB/s"
+    raise ValueError(f"not a policy value: {value!r}")
+
+
+def value_from_text(context: PolicyContext, text: str) -> PolicyValue:
+    """Parse what value_to_text prints; ValueError on anything else."""
+    text = text.strip()
+    if context is PolicyContext.QOS:
+        match = _QOS_VALUE_RE.match(text)
+        if not match:
+            raise ValueError(f"bad qos value {text!r}")
+        services, amount = match.groups()
+        if not _BANDWIDTH_RE.fullmatch(amount):
+            raise ValueError(f"bad bandwidth {amount!r}")
+        return QosValue(Fraction(amount), parse_services(services))
+    services = parse_services(text)
+    if context is PolicyContext.SECURITY:
+        return SecurityValue(services)
+    return MeasurementValue(services)
 
 
 def parse_policy(text: str) -> PolicyDocument:
@@ -367,25 +421,18 @@ def parse_policy(text: str) -> PolicyDocument:
             continue
 
         try:
-            if match := _SECURITY_RE.match(line):
-                src, dst, services = match.groups()
-                value: PolicyValue = SecurityValue(parse_services(services))
-            elif match := _QOS_RE.match(line):
-                src, dst, service, amount = match.groups()
-                predicate = ServiceSet.from_ranges(parse_service_token(service))
-                value = QosValue(Fraction(amount), predicate)
-            elif match := _MEASURE_RE.match(line):
-                src, dst, service = match.groups()
-                value = MeasurementValue(
-                    ServiceSet.from_ranges(parse_service_token(service))
-                )
-            else:
+            match = _RULE_RE.match(line)
+            if not match:
                 raise PolicyParseError(line_no, f"unrecognized line {line!r}")
+            keyword, src, dst, value_text = match.groups()
+            if keyword == "measure":
+                collect, _, value_text = value_text.partition(" ")
+                if collect != "collect":
+                    raise PolicyParseError(line_no, "measure value must start with 'collect '")
+            value = value_from_text(_RULE_CONTEXT[keyword], value_text)
             if src == dst:
                 raise PolicyParseError(line_no, f"rule endpoints are both {src!r}")
             rule = PolicyRule(src, dst, value)
-        except PolicyParseError:
-            raise
         except ValueError as exc:
             raise PolicyParseError(line_no, str(exc)) from exc
 

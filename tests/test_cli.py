@@ -127,6 +127,24 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["policy_deltas"] == []
 
+    def test_service_list_and_seven_decimal_qos_verify_clean(self, capsys, tmp_path):
+        # any/80 maps to a three-service list and 0.1234567 to a p/q
+        # bandwidth; verify must read both back from the map.
+        policy = tmp_path / "wide.policy"
+        policy.write_text(
+            "".join(f"zone Z{i} transitive\n" for i in range(1, 5))
+            + "qos Z1 -> Z3 : any/80 min 5MB/s\n"
+            "measure Z2 -> Z4 : collect any/80\n"
+            "qos Z3 -> Z1 : tcp/80 min 0.1234567MB/s\n"
+        )
+        target = self._mapfile(capsys, tmp_path, str(policy))
+        assert "1234567/10000000MB/s" in target.read_text()
+        code, out, err = run(
+            capsys, "verify", DIAMOND, str(policy), str(target), "--format", "structured"
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["clean"] is True
+
     def test_perturbed_file_fails(self, capsys, tmp_path):
         target = self._mapfile(capsys, tmp_path)
         doc = json.loads(target.read_text())

@@ -5,12 +5,9 @@ import pytest
 from policymap.documents import (
     assignment_from_dict,
     assignment_to_dict,
-    bandwidth_text,
     load_assignments,
     map_document,
     render_verify_text,
-    value_from_text,
-    value_to_text,
     verify_document,
 )
 from policymap.errors import AssignmentsError
@@ -27,6 +24,9 @@ from policymap.policy import (
     QosValue,
     SecurityValue,
     ServiceSet,
+    bandwidth_text,
+    value_from_text,
+    value_to_text,
 )
 
 SSH = ServiceSet.from_ranges([("tcp", 22, 22)])
@@ -90,6 +90,20 @@ class TestAssignmentsIO:
             ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1/0MB/s"}]',
             '[{"device": "A", "interface": "e0", "direction": "inbound",'
             ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1e999999999MB/s"}]',
+            '[{"device": "A", "interface": "e0", "direction": "inbound",'
+            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min \u0663MB/s"}]',
+            *(
+                '[{"device": "A", "interface": "e0", "direction": "inbound",'
+                f' "context": "security", "src": "Z1", "dst": "Z3", "value": "{service}"}}]'
+                for service in ("tcp/2_2", "tcp/+22", "tcp/ 22", "tcp/\u0662\u0662")
+            ),
+            '[{"device": "A", "interface": "e0", "direction": "inbound",'
+            ' "context": "security", "src": "Z1", "dst": "Z3", "value": 5}]',
+            '[{"device": ["A"], "interface": "e0", "direction": "inbound",'
+            ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+            '[{"device": "A", "interface": "e0", "direction": "inbound",'
+            ' "context": "security", "src": ["Z1"], "dst": "Z3", "value": "tcp/22"}]',
+            "[5]",
         ],
     )
     def test_malformed_rejected(self, text):

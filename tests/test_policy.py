@@ -31,11 +31,14 @@ from policymap.policy import (
     ServiceSet,
     compose_parallel,
     compose_serial,
+    context_of,
     derive_end_to_end,
     parallel_identity,
     parse_policy,
     parse_services,
     serial_identity,
+    value_from_text,
+    value_to_text,
 )
 
 SSH = ServiceSet.from_ranges([("tcp", 22, 22)])
@@ -70,8 +73,18 @@ class TestServiceSet:
         assert EMPTY_SERVICES.text() == "none"
 
     def test_unnormalized_construction_rejected(self):
+        # The constructor normalizes; only invalid ranges are rejected.
+        assert ServiceSet((("tcp", 30, 40), ("tcp", 20, 25))).ranges == (
+            ("tcp", 20, 25),
+            ("tcp", 30, 40),
+        )
+        assert ServiceSet((("tcp", 26, 40), ("tcp", 20, 25))) == ServiceSet.from_ranges(
+            [("tcp", 20, 40)]
+        )
         with pytest.raises(ValueError):
-            ServiceSet((("tcp", 30, 40), ("tcp", 20, 25)))
+            ServiceSet((("gre", 20, 25),))
+        with pytest.raises(ValueError):
+            ServiceSet((("tcp", 25, 20),))
 
 
 class TestCompositionTables:
@@ -166,6 +179,34 @@ service_sets = st.builds(
         max_size=3,
     ),
 )
+
+
+printable_service_sets = st.one_of(service_sets, st.just(ANY_SERVICES))
+# Both sides of bandwidth_text's six-place cut: decimals and p/q forms.
+bandwidths = st.one_of(
+    st.fractions(min_value=0, max_denominator=10**9),
+    st.integers(0, 10**15).map(lambda n: Fraction(n, 10**7)),
+)
+_RULE_PREFIX = {
+    PolicyContext.SECURITY: "security Z1 -> Z2 : ",
+    PolicyContext.QOS: "qos Z1 -> Z2 : ",
+    PolicyContext.MEASUREMENT: "measure Z1 -> Z2 : collect ",
+}
+
+
+class TestValueGrammar:
+    @given(printable_service_sets, bandwidths)
+    def test_print_then_parse_is_identity(self, services, bandwidth):
+        for value in (
+            SecurityValue(services),
+            MeasurementValue(services),
+            QosValue(bandwidth, services),
+        ):
+            ctx = context_of(value)
+            text = value_to_text(value)
+            assert value_from_text(ctx, text) == value
+            (rule,) = parse_policy(_RULE_PREFIX[ctx] + text).rules
+            assert rule.value == value
 
 
 class TestCompositionProperties:
@@ -346,9 +387,23 @@ class TestPolicyParser:
         with pytest.raises(PolicyParseError, match="protocol"):
             parse_policy("security Z1 -> Z2 : gre/22")
 
-    def test_bad_port(self):
-        with pytest.raises(PolicyParseError, match="port"):
-            parse_policy("security Z1 -> Z2 : tcp/70000")
+    @pytest.mark.parametrize(
+        "rule, match",
+        [
+            ("security Z1 -> Z2 : tcp/70000", "port"),
+            ("security Z1 -> Z2 : tcp/2_2", "port"),
+            ("security Z1 -> Z2 : tcp/+22", "port"),
+            ("security Z1 -> Z2 : tcp/\u0662\u0662", "port"),
+            ("qos Z1 -> Z3 : tcp/80 min 1/0MB/s", "bandwidth"),
+            ("qos Z1 -> Z3 : tcp/80 min \u0663MB/s", "bandwidth"),
+            ("measure Z1 -> Z2 : udp/any", "collect"),
+        ],
+        ids=["above-65535", "underscore", "plus", "arabic-indic", "zero-denominator",
+             "arabic-indic-bandwidth", "no-collect"],
+    )
+    def test_bad_value_rejected(self, rule, match):
+        with pytest.raises(PolicyParseError, match=f"line 2: .*{match}"):
+            parse_policy(f"zone Z1 transitive\n{rule}\n")
 
     def test_unrecognized_line(self):
         with pytest.raises(PolicyParseError, match="line 1"):
