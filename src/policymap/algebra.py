@@ -58,7 +58,9 @@ class DirectedDevice:
     Zone ids are indices into the owning model's zone table.  The ingress
     interface faces the source zone, the egress interface the destination
     zone.  Equality is structural, so the same orientation of the same
-    device compares equal wherever it appears.
+    device compares equal wherever it appears.  The structural hash is
+    computed once, at construction: every dict and set keyed by a device
+    (closure, mapper, derivation) hashes it again and again.
     """
 
     physical: PhysicalDevice
@@ -82,6 +84,25 @@ class DirectedDevice:
                 raise ValueError(
                     f"interface {name!r} does not belong to device {self.device_id!r}"
                 )
+        # Not a field, so ==, repr and fields() stay structural.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (
+            self.physical,
+            self.from_zone,
+            self.to_zone,
+            self.ingress_interface,
+            self.egress_interface,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a string hash differs between processes,
+        # so a pickled _hash would be stale.
+        return (DirectedDevice, self._fields())
 
     @property
     def device_id(self) -> str:

@@ -21,7 +21,7 @@ from .mapper import (
     PolicyDelta,
     VerificationReport,
 )
-from .policy import PolicyContext, PolicyRule, value_from_text, value_to_text
+from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value_to_text
 
 
 def assignment_to_dict(assignment: DeviceAssignment) -> dict:
@@ -56,7 +56,7 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
 
 
 def _rule_line(entry: dict) -> str:
-    return f"{entry['context']} {entry['src']} -> {entry['dst']} : {entry['value']}"
+    return rule_line(PolicyContext(entry["context"]), entry["src"], entry["dst"], entry["value"])
 
 
 def _entries(assignments) -> list[dict]:

@@ -21,7 +21,13 @@ and add up across disjoint paths.
 
 The end-to-end value implemented by a set of device paths is the parallel
 combination over paths of the serial combination of the per-device values
-along each path.
+along each path.  derive_end_to_end folds it by value classes, and that is
+exact: serial composition is idempotent and commutative in all three
+contexts, so a path's value depends only on the set of distinct device
+values along it; parallel composition is idempotent for security and
+measurement, so a repeated set adds nothing there, while the qos sum keeps
+every path's share.  Paths are walked in canonical order, so an error is
+the one, with the message, that a path-by-path fold would raise first.
 
 Policy files are line-oriented ('#' starts a comment):
 
@@ -33,7 +39,8 @@ Policy files are line-oriented ('#' starts a comment):
 <services> is "none" or a comma-separated list of <proto>/<port|lo-hi|any>;
 digits are ASCII only.  value_to_text and value_from_text, here alone,
 print and parse the value after the colon, for policy and assignments
-files alike.  At most one rule per ordered zone pair per context.
+files alike; rule_line prints a whole rule line in this grammar.  At most
+one rule per ordered zone pair per context.
 """
 
 from __future__ import annotations
@@ -231,6 +238,9 @@ def compose_parallel(ctx: PolicyContext, p: PolicyValue, q: PolicyValue) -> Poli
         return SecurityValue(p.services.union(q.services))
     if ctx is PolicyContext.MEASUREMENT:
         return MeasurementValue(p.services.intersection(q.services))
+    # Fraction + float goes through float(), which overflows above ~1.8e308.
+    if UNBOUNDED in (p.bandwidth, q.bandwidth):
+        return QosValue(UNBOUNDED, _merge_qos_predicates(p, q))
     return QosValue(p.bandwidth + q.bandwidth, _merge_qos_predicates(p, q))
 
 
@@ -261,27 +271,49 @@ def derive_end_to_end(
     path.  The empty path contributes the serial identity.  ``paths``
     must be nonempty (an empty set means the pair is unreachable) and
     ``device_policies`` must cover every device appearing in it.
+
+    Each distinct device value gets one bit and a path's key is the OR of
+    its steps' bits.  Each key is folded once; for security and
+    measurement a key met again is skipped, while qos adds every path
+    (the module docstring says why this is exact).  A path's devices are
+    looked up before its fold, as in the path-by-path fold, so errors
+    come in the same order.
     """
     if not paths:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
-
-    def path_value(path) -> PolicyValue:
-        if path.is_empty:
-            return serial_identity(ctx)
-        values = []
+    bits: dict[DirectedDevice, int] = {}
+    classes: dict[PolicyValue, int] = {}
+    serial: dict[int, PolicyValue] = {}
+    derived = None
+    for path in paths.sorted_paths():
+        key = 0
         for step in path.steps:
-            try:
-                values.append(device_policies[step])
-            except KeyError:
-                raise MissingDevicePolicy(
-                    f"no policy value for device {step.text()}"
-                ) from None
-        return reduce(lambda p, q: compose_serial(ctx, p, q), values)
-
-    return reduce(
-        lambda p, q: compose_parallel(ctx, p, q),
-        (path_value(path) for path in paths.sorted_paths()),
-    )
+            bit = bits.get(step)
+            if bit is None:
+                try:
+                    value = device_policies[step]
+                except KeyError:
+                    raise MissingDevicePolicy(
+                        f"no policy value for device {step.text()}"
+                    ) from None
+                bit = 1 << len(bits)
+                # A value of another context keeps its device's own bit:
+                # its paths then raise in their fold, as path by path.
+                if _VALUE_CONTEXT.get(type(value)) is ctx:
+                    bit = classes.setdefault(value, bit)
+                bits[step] = bit
+            key |= bit
+        value = serial.get(key)
+        if value is None:
+            value = serial_identity(ctx) if path.is_empty else reduce(
+                lambda p, q: compose_serial(ctx, p, q),
+                [device_policies[step] for step in path.steps],
+            )
+            serial[key] = value
+        elif ctx is not PolicyContext.QOS:
+            continue
+        derived = value if derived is None else compose_parallel(ctx, derived, value)
+    return derived
 
 
 @dataclass(frozen=True)
@@ -400,6 +432,17 @@ def value_from_text(context: PolicyContext, text: str) -> PolicyValue:
     if context is PolicyContext.SECURITY:
         return SecurityValue(services)
     return MeasurementValue(services)
+
+
+_RULE_KEYWORD = {ctx: keyword for keyword, ctx in _RULE_CONTEXT.items()}
+
+
+def rule_line(context: PolicyContext, src: str, dst: str, value_text: str) -> str:
+    """The policy-file line of a rule whose value value_to_text printed;
+    parse_policy reads it back."""
+    if context is PolicyContext.MEASUREMENT:
+        value_text = f"collect {value_text}"
+    return f"{_RULE_KEYWORD[context]} {src} -> {dst} : {value_text}"
 
 
 def parse_policy(text: str) -> PolicyDocument:

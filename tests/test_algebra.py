@@ -1,7 +1,15 @@
+import copy
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import policymap
 from policymap.algebra import (
     EPSILON,
     INVALID,
@@ -221,3 +229,60 @@ class TestCanonicalText:
     def test_sorted_by_zone_sequence_then_device(self):
         s = PathSet.of(path(E14, F43), path(A12, C23), path(B12, C23))
         assert s.text() == "{A12C23, B12C23, E14F43}"
+
+
+# Dumps the diamond's directed devices (pickled, in text order) or loads
+# them and looks each one up in a dict built from a fresh model.
+_PICKLE_SCRIPT = """
+import pickle, sys
+from policymap.topology import build_model, load_topology
+model = build_model(load_topology(sys.argv[2]), {})
+devices = sorted(
+    (d for devs in model.conduits.values() for d in devs),
+    key=lambda d: (d.text(), d.ingress_interface),
+)
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(devices))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    index = {d: k for k, d in enumerate(devices)}
+    assert loaded == devices
+    assert [index.get(d) for d in loaded] == list(range(len(devices)))
+    assert {hash(d) for d in loaded} == {hash(d) for d in devices}
+    print(len(loaded))
+"""
+
+
+class TestDirectedDeviceHash:
+    def test_cached_hash_keeps_equality_repr_and_fields(self):
+        twin = DirectedDevice(PhysicalDevice("A", ("e0", "e1")), 0, 1, "e0", "e1")
+        assert twin == A12 and twin is not A12 and hash(twin) == hash(A12)
+        assert A12 != rdd("A", 0, 1) and A12 != dd("A", 1, 0)
+        assert [f.name for f in dataclasses.fields(DirectedDevice)] == [
+            "physical", "from_zone", "to_zone", "ingress_interface", "egress_interface",
+        ]
+        assert repr(A12) == (
+            "DirectedDevice(physical=PhysicalDevice(device_id='A', "
+            "interfaces=('e0', 'e1')), from_zone=0, to_zone=1, "
+            "ingress_interface='e0', egress_interface='e1')"
+        )
+        for clone in (copy.copy(A12), copy.deepcopy(A12)):
+            assert clone == A12 and hash(clone) == hash(A12)
+
+    def test_unpickled_device_hashes_as_in_its_new_process(self):
+        # String hashes differ between PYTHONHASHSEEDs, so a hash carried
+        # in the pickle would miss every dict of the loading process.
+        src = str(Path(policymap.__file__).resolve().parents[1])
+        graphml = str(Path(__file__).parent / "data" / "diamond.graphml")
+
+        def run(hash_seed, action, stdin=b""):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _PICKLE_SCRIPT, action, graphml],
+                input=stdin, capture_output=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        assert run("2", "load", run("1", "dump")) == b"14\n"

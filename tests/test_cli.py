@@ -157,6 +157,19 @@ class TestVerify:
         report = json.loads(out)
         assert report["counts"]["incorrect_direction"] == 1
 
+    def test_qos_predicate_mismatch_exits_1(self, capsys, tmp_path):
+        target = self._mapfile(capsys, tmp_path, POLICY_MIXED)
+        doc = json.loads(target.read_text())
+        qos = [e for e in doc["assignments"] if e["context"] == "qos"]
+        qos[0]["value"] = "udp/53 min 50MB/s"
+        target.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", DIAMOND, POLICY_MIXED, str(target))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: ContextMismatch: qos composition over different predicates "
+            "(udp/53 vs tcp/80)\n"
+        )
+
     def test_malformed_assignments_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")

@@ -25,6 +25,7 @@ from policymap.policy import (
     SecurityValue,
     ServiceSet,
     bandwidth_text,
+    parse_policy,
     value_from_text,
     value_to_text,
 )
@@ -130,3 +131,24 @@ class TestVerifyDocument:
         assignments = map_policy(PolicyContext.SECURITY, [rule], diamond_astar, diamond_model)
         tree = map_document(assignments)["by_device"]
         assert tree["F"]["e1"]["inbound"] == ["security Z1 -> Z3 : tcp/22"]
+
+    def test_by_device_lines_parse_back(self, diamond_model, diamond_astar):
+        rules = [
+            PolicyRule("Z1", "Z3", SecurityValue(SSH)),
+            PolicyRule("Z1", "Z3", QosValue(Fraction(1, 3), SSH)),
+            PolicyRule("Z2", "Z4", MeasurementValue(SSH)),
+        ]
+        assignments = [
+            a
+            for rule in rules
+            for a in map_policy(rule.context, [rule], diamond_astar, diamond_model)
+        ]
+        lines = {
+            line
+            for interfaces in map_document(assignments)["by_device"].values()
+            for directions in interfaces.values()
+            for rule_lines in directions.values()
+            for line in rule_lines
+        }
+        assert "measure Z2 -> Z4 : collect tcp/22" in lines
+        assert set(parse_policy("\n".join(sorted(lines))).rules) == set(rules)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from policymap.algebra import (
+    EPSILON,
     ONE,
     ZERO,
     DevicePath,
@@ -17,6 +19,7 @@ from policymap.errors import (
     ContextMismatch,
     EmptyPathSet,
     MissingDevicePolicy,
+    PolicymapError,
     PolicyParseError,
 )
 from policymap.policy import (
@@ -36,6 +39,7 @@ from policymap.policy import (
     parallel_identity,
     parse_policy,
     parse_services,
+    rule_line,
     serial_identity,
     value_from_text,
     value_to_text,
@@ -208,6 +212,23 @@ class TestValueGrammar:
             (rule,) = parse_policy(_RULE_PREFIX[ctx] + text).rules
             assert rule.value == value
 
+    @given(
+        st.sampled_from(list(PolicyContext)),
+        st.from_regex(r"[A-Za-z0-9_.]+", fullmatch=True),
+        st.from_regex(r"[A-Za-z0-9_.]+", fullmatch=True),
+        printable_service_sets,
+        bandwidths,
+    )
+    def test_rule_line_parses_back(self, ctx, src, dst, services, bandwidth):
+        assume(src != dst)
+        value = {
+            PolicyContext.SECURITY: SecurityValue(services),
+            PolicyContext.MEASUREMENT: MeasurementValue(services),
+            PolicyContext.QOS: QosValue(bandwidth, services),
+        }[ctx]
+        line = rule_line(ctx, src, dst, value_to_text(value))
+        assert parse_policy(line).rules == (PolicyRule(src, dst, value),)
+
 
 class TestCompositionProperties:
     @given(service_sets, service_sets, service_sets)
@@ -267,6 +288,39 @@ class TestCompositionProperties:
         )
 
 
+def literal_end_to_end(ctx, device_policies, paths):
+    """The path-by-path fold derive_end_to_end must agree with: parallel
+    over paths, in canonical order, of the serial fold along each path."""
+    if not paths:
+        raise EmptyPathSet("cannot derive a policy over an empty path set")
+
+    def path_value(path):
+        if path.is_empty:
+            return serial_identity(ctx)
+        values = []
+        for step in path.steps:
+            try:
+                values.append(device_policies[step])
+            except KeyError:
+                raise MissingDevicePolicy(
+                    f"no policy value for device {step.text()}"
+                ) from None
+        return reduce(lambda p, q: compose_serial(ctx, p, q), values)
+
+    return reduce(
+        lambda p, q: compose_parallel(ctx, p, q),
+        (path_value(path) for path in paths.sorted_paths()),
+    )
+
+
+def _outcome(derive, ctx, device_policies, paths):
+    """The derived value, or the type and message of the error raised."""
+    try:
+        return derive(ctx, device_policies, paths)
+    except PolicymapError as exc:
+        return type(exc), str(exc)
+
+
 def _line(*names_zones):
     """A straight-line path over fresh devices: (name, from, to) triples."""
     steps = []
@@ -314,6 +368,69 @@ class TestDeriveEndToEnd:
                 PathSet.of(self.upper),
             )
 
+    def test_qos_equal_parallel_paths_count_twice(self):
+        # Both paths fold to the same value class; the sum still needs both.
+        value = QosValue(Fraction(30), HTTP)
+        policies = {d: value for d in (*self.upper.steps, *self.lower.steps)}
+        got = derive_end_to_end(PolicyContext.QOS, policies, self.paths)
+        assert got == QosValue(Fraction(60), HTTP)
+        assert got == literal_end_to_end(PolicyContext.QOS, policies, self.paths)
+
+    def test_each_value_class_folds_once(self, monkeypatch):
+        import policymap.policy as policy
+
+        calls = []
+        for name in ("compose_serial", "compose_parallel"):
+            def counted(ctx, p, q, op=getattr(policy, name), name=name):
+                calls.append(name)
+                return op(ctx, p, q)
+            monkeypatch.setattr(policy, name, counted)
+        devices = (*self.upper.steps, *self.lower.steps)
+        for value in (SecurityValue(SSH), QosValue(Fraction(30), HTTP)):
+            calls.clear()
+            derive_end_to_end(context_of(value), {d: value for d in devices}, self.paths)
+            # One serial step folds the first path's class; the second path
+            # repeats it, and only the qos sum adds it again.
+            parallel = ["compose_parallel"] if isinstance(value, QosValue) else []
+            assert calls == ["compose_serial"] + parallel
+
+    def test_mixed_qos_predicates_raise_as_the_path_by_path_fold(self):
+        across = {d: QosValue(Fraction(30), HTTP) for d in self.upper.steps}
+        across.update({d: QosValue(Fraction(30), DNS) for d in self.lower.steps})
+        along = {d: QosValue(Fraction(30), HTTP) for d in self.lower.steps}
+        along.update(
+            {self.upper.steps[0]: QosValue(Fraction(10), DNS),
+             self.upper.steps[1]: QosValue(Fraction(20), HTTP)}
+        )
+        for policies in (across, along):
+            expected = _outcome(literal_end_to_end, PolicyContext.QOS, policies, self.paths)
+            assert expected[0] is ContextMismatch
+            assert _outcome(derive_end_to_end, PolicyContext.QOS, policies, self.paths) == expected
+
+    def test_foreign_values_raise_as_the_path_by_path_fold(self):
+        # Two one-step parallel paths with one shared foreign value: the
+        # second path's parallel step must still meet it and raise.
+        one_step = PathSet.of(_line(("A", 0, 1)), _line(("B", 0, 1)))
+        for foreign in (MeasurementValue(SSH), [SSH]):
+            policies = {p.steps[0]: foreign for p in one_step}
+            expected = _outcome(
+                literal_end_to_end, PolicyContext.SECURITY, policies, one_step
+            )
+            assert expected[0] is ContextMismatch
+            assert _outcome(
+                derive_end_to_end, PolicyContext.SECURITY, policies, one_step
+            ) == expected
+
+    def test_qos_sum_with_unbounded_stays_unbounded(self):
+        # Fraction + inf goes through float(), which overflows for 10**400.
+        huge = QosValue(Fraction(10**400), HTTP)
+        unbounded = QosValue(UNBOUNDED, None)
+        for p, q in ((unbounded, huge), (huge, unbounded)):
+            assert compose_parallel(PolicyContext.QOS, p, q) == QosValue(UNBOUNDED, HTTP)
+        policies = {d: huge for d in self.upper.steps}
+        got = derive_end_to_end(PolicyContext.QOS, policies, PathSet.of(EPSILON, self.upper))
+        assert got == QosValue(UNBOUNDED, HTTP)
+
     def test_uniform_value_on_random_paths_is_exact(self):
         # Placing one value on every device of every path derives exactly
         # that value: intersection of equal sets under union of equal sets.
@@ -338,6 +455,70 @@ class TestDeriveEndToEnd:
                         astar.cell(i, j),
                     )
                     assert got == value
+
+
+# Small pools, so that devices share values and value classes repeat.
+_POOLS = {
+    PolicyContext.SECURITY: [
+        SecurityValue(SSH), SecurityValue(SSH.union(HTTP)), SecurityValue(ANY_SERVICES),
+    ],
+    PolicyContext.MEASUREMENT: [
+        MeasurementValue(SSH), MeasurementValue(DNS), MeasurementValue(EMPTY_SERVICES),
+    ],
+    PolicyContext.QOS: [
+        QosValue(Fraction(30), HTTP), QosValue(Fraction(25, 2), HTTP), QosValue(Fraction(0), None),
+    ],
+}
+
+
+class TestGroupedDerivation:
+    """derive_end_to_end folds each value class once; the path-by-path
+    fold is the reference, for values and for errors alike."""
+
+    def _variants(self, rng, ctx, devices):
+        pool = _POOLS[ctx]
+        yield {d: rng.choice(pool) for d in devices}
+        if ctx is PolicyContext.QOS:
+            mixed = pool + [QosValue(Fraction(20), DNS)]
+            yield {d: rng.choice(mixed) for d in devices}
+        others = [v for other, values in _POOLS.items() if other is not ctx for v in values]
+        yield {d: rng.choice(others if rng.random() < 0.1 else pool) for d in devices}
+        missing = {d: rng.choice(pool) for d in devices}
+        del missing[rng.choice(sorted(missing, key=lambda d: d.text()))]
+        yield missing
+
+    def test_matches_path_by_path_fold_on_random_models(self):
+        from modelgen import random_model
+        from policymap.closure import brute_force_paths
+
+        rng = random.Random(0x6E)
+        compared = grouped = raised = 0
+        for _ in range(40):
+            model = random_model(rng, max_zones=6, max_firewalls=9)
+            astar = brute_force_paths(model)
+            cells = [
+                astar.cell(i, j)
+                for i in range(model.n)
+                for j in range(model.n)
+                if i != j and astar.cell(i, j)
+            ]
+            devices = {d for cell in cells for p in cell for d in p.steps}
+            if not devices:
+                continue
+            for ctx in PolicyContext:
+                for policies in self._variants(rng, ctx, devices):
+                    for cell in cells:
+                        paths = PathSet(cell.paths | {EPSILON}) if rng.random() < 0.2 else cell
+                        expected = _outcome(literal_end_to_end, ctx, policies, paths)
+                        assert _outcome(derive_end_to_end, ctx, policies, paths) == expected
+                        compared += 1
+                        raised += isinstance(expected, tuple)
+                        classes = {
+                            frozenset(policies.get(d) for d in p.steps) for p in paths
+                        }
+                        grouped += len(classes) < len(paths)
+        # Enough cells, with repeated value classes and with errors.
+        assert compared > 3000 and grouped > 1000 and raised > 500
 
 
 class TestPolicyParser:
