@@ -204,9 +204,6 @@ class PathSet:
     def sorted_paths(self) -> list[DevicePath]:
         return sorted(self.paths, key=DevicePath.sort_key)
 
-    def issubset(self, other: "PathSet") -> bool:
-        return self.paths <= other.paths
-
     def text(self) -> str:
         return "{" + ", ".join(p.text() for p in self.sorted_paths()) + "}"
 
@@ -272,8 +269,4 @@ class PathMatrix:
         return len(self.cells)
 
     def cell(self, i: int, j: int) -> PathSet:
-        return self.cells[i][j]
-
-    def __getitem__(self, index: tuple[int, int]) -> PathSet:
-        i, j = index
         return self.cells[i][j]

@@ -19,7 +19,7 @@ from .mapper import (
     DeviceAssignment,
     DirectionConvention,
     MeasurementStrategy,
-    assignments_for_rule,
+    map_rules,
     verify_assignments,
 )
 from .policy import PolicyContext, PolicyDocument, load_policy
@@ -49,6 +49,10 @@ def _read(path: str, load):
         raise _Failure(1, str(exc)) from exc
 
 
+def _read_inputs(args) -> tuple[NetworkTopology, PolicyDocument]:
+    return _read(args.topology, load_topology), _read(args.policy, load_policy)
+
+
 def _compile(topology: NetworkTopology, transitivity: dict, firewall_zones: bool):
     model = build_model(topology, transitivity, add_firewall_zones=firewall_zones)
     astar = right_iterate(adjacency_matrix(model), transitivity_matrix(model))
@@ -60,18 +64,9 @@ def _map_tolerant(policy_doc, astar, model, convention, strategy):
 
     Rules are taken context by context, each in file order.
     """
-    assignments: list[DeviceAssignment] = []
-    unreachable: list[tuple[str, str, str]] = []
-    for ctx in PolicyContext:
-        for rule in policy_doc.rules_for(ctx):
-            try:
-                assignments.extend(
-                    assignments_for_rule(rule, astar, model, convention, strategy)
-                )
-            except UnreachablePair:
-                unreachable.append((ctx.value, rule.src, rule.dst))
-    assignments.sort(key=DeviceAssignment.sort_key)
-    return assignments, unreachable
+    rules = [rule for ctx in PolicyContext for rule in policy_doc.rules_for(ctx)]
+    assignments, unreachable = map_rules(rules, astar, model, convention, strategy)
+    return assignments, [(rule.context.value, rule.src, rule.dst) for rule in unreachable]
 
 
 def _map_all(
@@ -107,8 +102,7 @@ def _render(document: dict, renderer, fmt: str) -> str:
 
 
 def cmd_map(args) -> int:
-    topology = _read(args.topology, load_topology)
-    policy_doc = _read(args.policy, load_policy)
+    topology, policy_doc = _read_inputs(args)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     assignments = _map_all(
         policy_doc, astar, model,
@@ -121,8 +115,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    topology = _read(args.topology, load_topology)
-    policy_doc = _read(args.policy, load_policy)
+    topology, policy_doc = _read_inputs(args)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     existing = _read(
         args.assignments,
@@ -147,8 +140,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paths(args) -> int:
-    topology = _read(args.topology, load_topology)
-    policy_doc = _read(args.policy, load_policy)
+    topology, policy_doc = _read_inputs(args)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     i = model.zone_index(args.src)
     j = model.zone_index(args.dst)
@@ -173,8 +165,7 @@ def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> Netwo
 
 
 def cmd_whatif(args) -> int:
-    topology = _read(args.topology, load_topology)
-    policy_doc = _read(args.policy, load_policy)
+    topology, policy_doc = _read_inputs(args)
     convention = DirectionConvention(args.direction_convention)
     strategy = MeasurementStrategy(args.measurement_strategy)
 
@@ -282,12 +273,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
         return failure.code
-    except UnreachablePair as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except PolicymapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnreachablePair) else 1
 
 
 if __name__ == "__main__":

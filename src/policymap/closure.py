@@ -9,8 +9,9 @@ iteration:
     A<0> = I,   A<k+1> = (A<k> . T  u  I) . A
 
 Each iterate is a function of the one before, so once A<k> = A<k+1>
-every later iterate is the same matrix.  Elementary-path validity bounds
-every path at n-1 hops, so that fixpoint comes within n-1 steps.
+every later iterate is the same matrix.  Every prefix of a valid path is
+valid, so that fixpoint comes at k = the longest path's hop count, and
+elementary-path validity bounds that at n-1.
 
 iterate evaluates the recurrence literally, as the paper's reference:
 matrix product and union are the cellwise lifts of the path-set
@@ -27,8 +28,6 @@ independent oracle for it.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .algebra import (
     ONE,
     ZERO,
@@ -39,7 +38,7 @@ from .algebra import (
     concat_sets,
     union_sets,
 )
-from .errors import DimensionMismatch, NoConvergence
+from .errors import DimensionMismatch
 from .topology import ZoneConduitModel
 
 
@@ -91,32 +90,21 @@ def _check_inputs(adjacency: PathMatrix, transitivity: PathMatrix) -> None:
                 raise ValueError("transitivity matrix must be diagonal")
 
 
-def _iterates(adjacency: PathMatrix, transitivity: PathMatrix) -> Iterator[PathMatrix]:
-    """A<0>, A<1>, ... up to the first A<k> that equals A<k+1>.
-
-    Lazy: a caller that stops after A<k> pays for k steps.
-    """
-    _check_inputs(adjacency, transitivity)
-    identity = identity_matrix(adjacency.n)
-    current = identity
-    while True:
-        yield current
-        following = matrix_product(
-            matrix_union(matrix_product(current, transitivity), identity), adjacency
-        )
-        if following == current:
-            return
-        current = following
-
-
 def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> PathMatrix:
     """The k-th iterate A<k>: all valid paths of at most k hops.
 
     Stops early at the fixpoint, which every later iterate equals.
     """
-    for k, current in enumerate(_iterates(adjacency, transitivity)):
-        if k == steps:
+    _check_inputs(adjacency, transitivity)
+    identity = identity_matrix(adjacency.n)
+    current = identity
+    for _ in range(steps):
+        following = matrix_product(
+            matrix_union(matrix_product(current, transitivity), identity), adjacency
+        )
+        if following == current:
             break
+        current = following
     return current
 
 
@@ -193,15 +181,6 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
             for i, row in enumerate(found)
         )
     )
-
-
-def check_convergence(adjacency: PathMatrix, transitivity: PathMatrix) -> int:
-    """First k with A<k> = A<k+1>; raises NoConvergence if that exceeds n-1."""
-    bound = adjacency.n - 1
-    for k, _ in enumerate(_iterates(adjacency, transitivity)):
-        if k > bound:
-            raise NoConvergence(f"no fixpoint within {bound} iterations")
-    return k
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:

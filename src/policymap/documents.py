@@ -44,6 +44,9 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
     if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in _FIELDS):
         raise AssignmentsError(f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}")
     try:
+        for field in _FIELDS:
+            # A lone surrogate from a \ud800 escape could not be printed back.
+            entry[field].encode("utf-8")
         context = PolicyContext(entry["context"])
         rule = PolicyRule(
             entry["src"], entry["dst"], value_from_text(context, entry["value"])
@@ -87,7 +90,7 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
     """Read an assignments file (the map document, or a bare entry list)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise AssignmentsError(f"not valid JSON: {exc}") from exc
     if isinstance(payload, dict):
         entries = payload.get("assignments")
@@ -230,9 +233,8 @@ def render_verify_text(document: dict) -> str:
 
 def render_diff_text(document: dict) -> str:
     lines = []
-    for label, entries in (("removed", document["removed"]), ("added", document["added"])):
+    for sign, entries in (("-", document["removed"]), ("+", document["added"])):
         for e in entries:
-            sign = "-" if label == "removed" else "+"
             lines.append(
                 f"{sign} {e['device']}/{e['interface']}/{e['direction']}  "
                 f"{_rule_line(e)}"

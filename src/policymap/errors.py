@@ -38,15 +38,6 @@ class DimensionMismatch(PolicymapError):
     """Matrix operands do not share a dimension."""
 
 
-class NoConvergence(PolicymapError):
-    """Closure iteration failed to reach a fixpoint within the n-1 bound.
-
-    Reaching this means the algebra (or the caller's matrices) are broken:
-    elementary-path validity bounds path length, so a lawful input always
-    converges in at most n-1 steps.
-    """
-
-
 class ContextMismatch(PolicymapError):
     """Policy values from different contexts were composed together."""
 

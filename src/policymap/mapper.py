@@ -163,13 +163,6 @@ def realizations(dev: DirectedDevice) -> tuple[tuple[str, Direction], tuple[str,
     return (dev.ingress_interface, Direction.INBOUND), (dev.egress_interface, Direction.OUTBOUND)
 
 
-def _placement(dev: DirectedDevice, convention: DirectionConvention) -> tuple[str, Direction]:
-    ingress_inbound, egress_outbound = realizations(dev)
-    if convention is DirectionConvention.INGRESS_INBOUND:
-        return ingress_inbound
-    return egress_outbound
-
-
 def assignments_for_rule(
     rule: PolicyRule,
     astar: PathMatrix,
@@ -193,13 +186,33 @@ def assignments_for_rule(
     else:
         targets = path_devices(astar, i, j)
 
-    placed = {(dev.device_id, *_placement(dev, convention)) for dev in targets}
-    assignments = [
+    side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
+    placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
+    return [
         DeviceAssignment(device_id, interface, direction, rule)
         for device_id, interface, direction in placed
     ]
-    assignments.sort(key=DeviceAssignment.sort_key)
-    return assignments
+
+
+def map_rules(
+    rules: Iterable[PolicyRule],
+    astar: PathMatrix,
+    model: ZoneConduitModel,
+    convention: DirectionConvention = DirectionConvention.INGRESS_INBOUND,
+    measurement_strategy: MeasurementStrategy = MeasurementStrategy.ALL,
+) -> tuple[list[DeviceAssignment], list[PolicyRule]]:
+    """The assignments of all rules, in no promised order, and the rules with
+    no valid path, in the given order; any other error stops the walk."""
+    assignments: list[DeviceAssignment] = []
+    unreachable: list[PolicyRule] = []
+    for rule in rules:
+        try:
+            assignments.extend(
+                assignments_for_rule(rule, astar, model, convention, measurement_strategy)
+            )
+        except UnreachablePair:
+            unreachable.append(rule)
+    return assignments, unreachable
 
 
 def map_policy(
@@ -210,18 +223,23 @@ def map_policy(
     convention: DirectionConvention = DirectionConvention.INGRESS_INBOUND,
     measurement_strategy: MeasurementStrategy = MeasurementStrategy.ALL,
 ) -> list[DeviceAssignment]:
-    """Map every rule of one context onto concrete device assignments."""
-    out: list[DeviceAssignment] = []
+    """Map every rule of one context onto concrete device assignments.
+
+    Checks every rule's context before mapping any, and raises UnreachablePair
+    for the first unreachable rule.  The result is sorted by sort_key.
+    """
     for rule in rules:
         if rule.context is not ctx:
             raise ContextMismatch(
                 f"{rule.context.value} rule passed to {ctx.value} mapping"
             )
-        out.extend(
-            assignments_for_rule(rule, astar, model, convention, measurement_strategy)
-        )
-    out.sort(key=DeviceAssignment.sort_key)
-    return out
+    assignments, unreachable = map_rules(
+        rules, astar, model, convention, measurement_strategy
+    )
+    if unreachable:
+        first = unreachable[0]
+        raise UnreachablePair(first.src, first.dst, first.context.value)
+    return sorted(assignments, key=DeviceAssignment.sort_key)
 
 
 Realizers = dict[tuple[str, str, Direction], list[DirectedDevice]]
@@ -278,10 +296,8 @@ def verify_assignments(
         )
 
     pairs = sorted(set(intended) | set(by_pair))
-    indexes: dict[tuple[str, str], Realizers] = {}
-    for src, dst in pairs:
-        i, j = model.zone_index(src), model.zone_index(dst)
-        indexes[(src, dst)] = realizer_index(path_devices(astar, i, j))
+    zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
+    indexes = {pair: realizer_index(path_devices(astar, i, j)) for pair, (i, j) in zones.items()}
 
     findings = [
         AssignmentFinding(
@@ -294,8 +310,7 @@ def verify_assignments(
     deltas = []
     overprovisioned = []
     default = _absent_device_default(ctx)
-    for src, dst in pairs:
-        i, j = model.zone_index(src), model.zone_index(dst)
+    for (src, dst), (i, j) in zones.items():
         paths = astar.cell(i, j)
         if not paths:
             # Unreachable pair: nothing flows, so nothing to compare; any

@@ -83,7 +83,9 @@ def parse_topology(source: Union[bytes, str, IO[bytes]]) -> NetworkTopology:
         data = source
     try:
         root = ET.fromstring(data)
-    except ET.ParseError as exc:
+    # An encoding declaration the codecs cannot decode with raises
+    # LookupError or ValueError (UnicodeError among them), not ParseError.
+    except (ET.ParseError, LookupError, ValueError) as exc:
         raise MalformedDocument(f"not well-formed XML: {exc}") from exc
     if _local(root.tag) != "graphml":
         raise MalformedDocument(f"root element is <{_local(root.tag)}>, expected <graphml>")
@@ -221,9 +223,6 @@ class ZoneConduitModel:
         except KeyError:
             raise UnknownZone(f"unknown zone {name!r}") from None
 
-    def zone_names(self) -> list[str]:
-        return [z.name for z in self.zones]
-
 
 def build_model(
     topology: NetworkTopology,
@@ -246,16 +245,10 @@ def build_model(
             raise UnknownZone(f"transitivity names unknown zone {name!r}")
 
     node_name = {node.node_id: node.name for node in topology.nodes}
-    # Per firewall: interfaces in link order and the zone each one faces.
-    fw_interfaces: dict[str, list[str]] = {}
-    fw_attached: dict[str, list[tuple[str, str]]] = {}  # (zone name, interface)
-    for fw in topology.firewalls():
-        fw_interfaces[fw.name] = []
-        fw_attached[fw.name] = []
+    # Per firewall, in link order: (name of the zone faced, interface facing it).
+    fw_attached: dict[str, list[tuple[str, str]]] = {fw.name: [] for fw in topology.firewalls()}
     for link in topology.links:
-        fw_name = node_name[link.firewall]
-        fw_interfaces[fw_name].append(link.interface)
-        fw_attached[fw_name].append((node_name[link.zone], link.interface))
+        fw_attached[node_name[link.firewall]].append((node_name[link.zone], link.interface))
 
     fwz_names: list[str] = []
     if add_firewall_zones:
@@ -263,12 +256,11 @@ def build_model(
             fwz = FIREWALL_ZONE_PREFIX + fw_name
             if fwz in known:
                 raise SchemaError(f"firewall-zone name {fwz!r} collides with a topology zone")
-            if FIREWALL_ZONE_INTERFACE in fw_interfaces[fw_name]:
+            if any(iface == FIREWALL_ZONE_INTERFACE for _, iface in fw_attached[fw_name]):
                 raise SchemaError(
                     f"firewall {fw_name!r} already has an interface named "
                     f"{FIREWALL_ZONE_INTERFACE!r}; cannot add its firewall-zone"
                 )
-            fw_interfaces[fw_name].append(FIREWALL_ZONE_INTERFACE)
             fw_attached[fw_name].append((fwz, FIREWALL_ZONE_INTERFACE))
             fwz_names.append(fwz)
 
@@ -282,9 +274,9 @@ def build_model(
     devices: dict[str, PhysicalDevice] = {}
     conduits: dict[tuple[int, int], set[DirectedDevice]] = {}
     for fw_name in sorted(fw_attached):
-        device = PhysicalDevice(fw_name, tuple(fw_interfaces[fw_name]))
-        devices[fw_name] = device
         attached = fw_attached[fw_name]
+        device = PhysicalDevice(fw_name, tuple(iface for _, iface in attached))
+        devices[fw_name] = device
         for zone_a, iface_a in attached:
             for zone_b, iface_b in attached:
                 if zone_a == zone_b:

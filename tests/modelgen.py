@@ -107,7 +107,7 @@ def random_rules(
     under test.
     """
     oracle = brute_force_paths(model)
-    names = model.zone_names()
+    names = [zone.name for zone in model.zones]
     reachable = [
         (i, j)
         for i in range(model.n)

@@ -69,6 +69,25 @@ class TestMap:
         assert code == 2
         assert "Z1" in err and "Z3" in err
 
+    def test_first_unreachable_rule_is_taken_context_by_context(self, capsys, tmp_path):
+        # Nothing is transitive, so Z1-Z3 and Z2-Z4 are both unreachable;
+        # security rules are mapped before qos rules, whatever the line order.
+        bad = tmp_path / "unreachable.policy"
+        bad.write_text("qos Z1 -> Z3 : tcp/80 min 10MB/s\nsecurity Z2 -> Z4 : tcp/22\n")
+        code, out, err = run(capsys, "map", DIAMOND, str(bad))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: UnreachablePair: no valid device path from zone 'Z2' to zone 'Z4'; "
+            "security rule cannot be implemented\n"
+        )
+
+    def test_unknown_zone_after_unreachable_rule_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "unreachable.policy"
+        bad.write_text("security Z1 -> Z3 : tcp/22\nsecurity Z1 -> Z9 : tcp/22\n")
+        code, out, err = run(capsys, "map", DIAMOND, str(bad))
+        assert code == 1 and out == ""
+        assert err == "error: UnknownZone: unknown zone 'Z9'\n"
+
     def test_malformed_topology_exits_1(self, capsys, tmp_path):
         broken = tmp_path / "broken.graphml"
         broken.write_text("<graphml><graph>")
@@ -347,28 +366,37 @@ class TestDeterminism:
 
         flipped = names[0]
         flip = "--set-non-transitive" if transitivity[flipped] else "--set-transitive"
+        whatif = ("--drop-device", topology.firewalls()[0].name, flip, flipped)
+        # Each seed verifies the structured map it printed itself.
         commands = (
             ("map", "--format", "structured"),
-            ("whatif", "--format", "structured",
-             "--drop-device", topology.firewalls()[0].name, flip, flipped),
+            ("map", "--format", "text"),
+            ("whatif", "--format", "structured", *whatif),
+            ("whatif", "--format", "text", *whatif),
+            ("verify", "--format", "structured", "{map}"),
         )
         src = str(Path(policymap.__file__).resolve().parents[1])
 
         def outputs(hash_seed):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            map_path = tmp_path / f"map-{hash_seed}.json"
             stdouts = []
             for command, *options in commands:
                 proc = subprocess.run(
                     [sys.executable, "-m", "policymap.cli", command,
-                     str(graphml_path), str(policy_path), *options],
+                     str(graphml_path), str(policy_path),
+                     *(str(map_path) if o == "{map}" else o for o in options)],
                     capture_output=True, env=env, timeout=120,
                 )
                 assert proc.returncode == 0, proc.stderr
                 stdouts.append(proc.stdout)
+                if len(stdouts) == 1:
+                    map_path.write_bytes(proc.stdout)
             return stdouts
 
         first = outputs("1")
         assert json.loads(first[0])["assignments"]
-        assert json.loads(first[1])["removed"]
+        assert json.loads(first[2])["removed"]
+        assert json.loads(first[4])["clean"]
         assert first == outputs("2")

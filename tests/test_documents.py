@@ -105,6 +105,9 @@ class TestAssignmentsIO:
             '[{"device": "A", "interface": "e0", "direction": "inbound",'
             ' "context": "security", "src": ["Z1"], "dst": "Z3", "value": "tcp/22"}]',
             "[5]",
+            '[{"device": "\\ud800X", "interface": "e0", "direction": "inbound",'
+            ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+            pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
         ],
     )
     def test_malformed_rejected(self, text):

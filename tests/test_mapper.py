@@ -68,6 +68,24 @@ class TestMapPolicy:
         with pytest.raises(UnreachablePair, match="Z1.*Z3"):
             map_policy(SEC, [RULE_Z1_Z3], astar, model)
 
+    def test_two_faults_raise_contexts_first_then_in_rule_order(self, diamond_topology):
+        # Every context is checked before any rule is mapped, and an
+        # unreachable rule does not stop the walk, so a later rule's own
+        # error comes first; among unreachable rules the first one is named.
+        from policymap.topology import build_model
+
+        model = build_model(diamond_topology, {})  # nothing transitive
+        astar = closure_of(model)
+        measure = PolicyRule("Z1", "Z2", MeasurementValue(SSH))
+        unknown = PolicyRule("Z1", "Z9", SecurityValue(SSH))
+        also_unreachable = PolicyRule("Z2", "Z4", SecurityValue(SSH))
+        with pytest.raises(ContextMismatch):
+            map_policy(SEC, [RULE_Z1_Z3, measure], astar, model)
+        with pytest.raises(UnknownZone):
+            map_policy(SEC, [RULE_Z1_Z3, unknown], astar, model)
+        with pytest.raises(UnreachablePair, match="Z1.*Z3"):
+            map_policy(SEC, [RULE_Z1_Z3, also_unreachable], astar, model)
+
     def test_unknown_zone(self, diamond_model, diamond_astar):
         rule = PolicyRule("Z1", "Z9", SecurityValue(SSH))
         with pytest.raises(UnknownZone):

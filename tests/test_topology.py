@@ -100,6 +100,12 @@ class TestParse:
         with pytest.raises(MalformedDocument):
             parse_topology("<graphml><graph>")
 
+    @pytest.mark.parametrize("encoding", ["bogus", "rot13", "base64", "uu", "utf-32", "idna"])
+    def test_undecodable_encoding_declaration(self, encoding):
+        doc = f'<?xml version="1.0" encoding="{encoding}"?><graphml><graph/></graphml>'
+        with pytest.raises(MalformedDocument):
+            parse_topology(doc.encode("ascii"))
+
     def test_non_graphml_root(self):
         with pytest.raises(MalformedDocument):
             parse_topology("<gexf></gexf>")
