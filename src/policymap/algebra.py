@@ -215,21 +215,17 @@ ONE = PathSet(frozenset({EPSILON}))
 def concat_path(a: DevicePath, b: DevicePath) -> Optional[DevicePath]:
     """Concatenate two paths, or return INVALID when the join breaks validity.
 
-    The empty path is a two-sided identity.  A non-trivial join requires
-    a's terminal zone to equal b's initial zone, the joined zone sequence
-    to stay elementary, and the two paths to share no physical device.
+    The empty path is a two-sided identity.  A non-trivial join is valid
+    when DevicePath accepts the joined steps under its three rules.
     """
     if not a.steps:
         return b
     if not b.steps:
         return a
-    if a.steps[-1].to_zone != b.steps[0].from_zone:
+    try:
+        return DevicePath(a.steps + b.steps)
+    except ValueError:
         return INVALID
-    if set(a.zone_sequence()).intersection(b.zone_sequence()[1:]):
-        return INVALID
-    if {s.device_id for s in a.steps} & {s.device_id for s in b.steps}:
-        return INVALID
-    return DevicePath(a.steps + b.steps)
 
 
 def concat_sets(a: PathSet, b: PathSet) -> PathSet:

@@ -34,9 +34,7 @@ from .topology import (
 
 
 class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Unreadable or malformed input, or unwritable output: exit 1."""
 
 
 def _read(path: str, load):
@@ -44,9 +42,9 @@ def _read(path: str, load):
     try:
         return load(path)
     except (PolicymapError, UnicodeDecodeError) as exc:
-        raise _Failure(1, f"{path}: {type(exc).__name__}: {exc}") from exc
+        raise _Failure(f"{path}: {type(exc).__name__}: {exc}") from exc
     except OSError as exc:
-        raise _Failure(1, str(exc)) from exc
+        raise _Failure(str(exc)) from exc
 
 
 def _read_inputs(args) -> tuple[NetworkTopology, PolicyDocument]:
@@ -60,13 +58,12 @@ def _compile(topology: NetworkTopology, transitivity: dict, firewall_zones: bool
 
 
 def _map_tolerant(policy_doc, astar, model, convention, strategy):
-    """Map every rule, collecting unreachable (context, src, dst) triples.
+    """Map every rule: map_rules' assignments and its rules with no valid path.
 
     Rules are taken context by context, each in file order.
     """
     rules = [rule for ctx in PolicyContext for rule in policy_doc.rules_for(ctx)]
-    assignments, unreachable = map_rules(rules, astar, model, convention, strategy)
-    return assignments, [(rule.context.value, rule.src, rule.dst) for rule in unreachable]
+    return map_rules(rules, astar, model, convention, strategy)
 
 
 def _map_all(
@@ -79,8 +76,8 @@ def _map_all(
     """Map every rule; raises UnreachablePair for the first unreachable one."""
     assignments, unreachable = _map_tolerant(policy_doc, astar, model, convention, strategy)
     if unreachable:
-        context, src, dst = unreachable[0]
-        raise UnreachablePair(src, dst, context)
+        first = unreachable[0]
+        raise UnreachablePair(first.src, first.dst, first.context.value)
     return assignments
 
 
@@ -92,7 +89,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise _Failure(1, str(exc)) from exc
+        raise _Failure(str(exc)) from exc
 
 
 def _render(document: dict, renderer, fmt: str) -> str:
@@ -149,8 +146,6 @@ def cmd_paths(args) -> int:
 
 
 def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> NetworkTopology:
-    if not device_ids:
-        return topology
     by_name = {n.name: n for n in topology.firewalls()}
     dropped_node_ids = set()
     for device_id in device_ids:
@@ -272,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _Failure as failure:
         print(f"error: {failure}", file=sys.stderr)
-        return failure.code
+        return 1
     except PolicymapError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UnreachablePair) else 1

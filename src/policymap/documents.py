@@ -41,6 +41,10 @@ _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
 
 def assignment_from_dict(entry: dict) -> DeviceAssignment:
+    return _assignment_from_dict(entry, {})
+
+
+def _assignment_from_dict(entry: dict, values: dict) -> DeviceAssignment:
     if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in _FIELDS):
         raise AssignmentsError(f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}")
     try:
@@ -48,9 +52,10 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
             # A lone surrogate from a \ud800 escape could not be printed back.
             entry[field].encode("utf-8")
         context = PolicyContext(entry["context"])
-        rule = PolicyRule(
-            entry["src"], entry["dst"], value_from_text(context, entry["value"])
-        )
+        key = (context, entry["value"])
+        if key not in values:
+            values[key] = value_from_text(context, entry["value"])
+        rule = PolicyRule(entry["src"], entry["dst"], values[key])
         return DeviceAssignment(
             entry["device"], entry["interface"], Direction(entry["direction"]), rule
         )
@@ -102,7 +107,9 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
         raise AssignmentsError("expected an object or a list at top level")
     if not isinstance(entries, list):
         raise AssignmentsError("'assignments' is not a list")
-    return [assignment_from_dict(entry) for entry in entries]
+    # One file repeats few values; parse each distinct one once.
+    values: dict = {}
+    return [_assignment_from_dict(entry, values) for entry in entries]
 
 
 def finding_to_dict(finding: AssignmentFinding) -> dict:
@@ -148,16 +155,17 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
 
 def diff_document(
     before_assignments: Sequence[DeviceAssignment],
-    before_unreachable: Sequence[tuple[str, str, str]],
+    before_unreachable: Sequence[PolicyRule],
     after_assignments: Sequence[DeviceAssignment],
-    after_unreachable: Sequence[tuple[str, str, str]],
+    after_unreachable: Sequence[PolicyRule],
 ) -> dict:
-    """What-if diff: assignment and reachability changes between two runs."""
+    """What-if diff of two runs' assignments and unreachable rules, of one policy."""
     before, after = set(before_assignments), set(after_assignments)
     before_un, after_un = set(before_unreachable), set(after_unreachable)
 
-    def pairs(unreachable):
-        return [{"context": c, "src": s, "dst": d} for c, s, d in sorted(unreachable)]
+    def pairs(rules):
+        keys = sorted((rule.context.value, rule.src, rule.dst) for rule in rules)
+        return [{"context": c, "src": s, "dst": d} for c, s, d in keys]
 
     return {
         "removed": _entries(before - after),

@@ -77,13 +77,6 @@ class AssignmentClass(str, Enum):
     INCORRECT_DIRECTION = "incorrect_direction"
 
 
-ERROR_CLASSES = (
-    AssignmentClass.INCORRECT_FIREWALL,
-    AssignmentClass.INCORRECT_INTERFACE,
-    AssignmentClass.INCORRECT_DIRECTION,
-)
-
-
 @dataclass(frozen=True)
 class DeviceAssignment:
     """One rule placed on a (device, interface, direction) triple."""
@@ -141,8 +134,7 @@ class VerificationReport:
 
     @property
     def error_count(self) -> int:
-        counts = self.counts
-        return sum(counts[cls.value] for cls in ERROR_CLASSES)
+        return sum(f.classification is not AssignmentClass.CORRECT for f in self.findings)
 
     @property
     def clean(self) -> bool:
@@ -163,37 +155,6 @@ def realizations(dev: DirectedDevice) -> tuple[tuple[str, Direction], tuple[str,
     return (dev.ingress_interface, Direction.INBOUND), (dev.egress_interface, Direction.OUTBOUND)
 
 
-def assignments_for_rule(
-    rule: PolicyRule,
-    astar: PathMatrix,
-    model: ZoneConduitModel,
-    convention: DirectionConvention = DirectionConvention.INGRESS_INBOUND,
-    measurement_strategy: MeasurementStrategy = MeasurementStrategy.ALL,
-) -> list[DeviceAssignment]:
-    """Assignments implementing one rule; raises UnreachablePair if impossible."""
-    i = model.zone_index(rule.src)
-    j = model.zone_index(rule.dst)
-    paths = astar.cell(i, j)
-    if not paths:
-        raise UnreachablePair(rule.src, rule.dst, rule.context.value)
-
-    if rule.context is PolicyContext.MEASUREMENT and (
-        measurement_strategy is MeasurementStrategy.FIRST
-    ):
-        targets: Iterable[DirectedDevice] = {
-            path.steps[0] for path in paths if path.steps
-        }
-    else:
-        targets = path_devices(astar, i, j)
-
-    side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
-    placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
-    return [
-        DeviceAssignment(device_id, interface, direction, rule)
-        for device_id, interface, direction in placed
-    ]
-
-
 def map_rules(
     rules: Iterable[PolicyRule],
     astar: PathMatrix,
@@ -203,15 +164,27 @@ def map_rules(
 ) -> tuple[list[DeviceAssignment], list[PolicyRule]]:
     """The assignments of all rules, in no promised order, and the rules with
     no valid path, in the given order; any other error stops the walk."""
+    side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
     assignments: list[DeviceAssignment] = []
     unreachable: list[PolicyRule] = []
     for rule in rules:
-        try:
-            assignments.extend(
-                assignments_for_rule(rule, astar, model, convention, measurement_strategy)
-            )
-        except UnreachablePair:
+        i = model.zone_index(rule.src)
+        j = model.zone_index(rule.dst)
+        paths = astar.cell(i, j)
+        if not paths:
             unreachable.append(rule)
+            continue
+        if rule.context is PolicyContext.MEASUREMENT and (
+            measurement_strategy is MeasurementStrategy.FIRST
+        ):
+            targets: Iterable[DirectedDevice] = {path.steps[0] for path in paths}
+        else:
+            targets = path_devices(astar, i, j)
+        placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
+        assignments.extend(
+            DeviceAssignment(device_id, interface, direction, rule)
+            for device_id, interface, direction in placed
+        )
     return assignments, unreachable
 
 

@@ -367,13 +367,30 @@ class TestDeterminism:
         flipped = names[0]
         flip = "--set-non-transitive" if transitivity[flipped] else "--set-transitive"
         whatif = ("--drop-device", topology.firewalls()[0].name, flip, flipped)
+        # On the diamond, opening Z2 makes Z1-Z3 reachable and dropping E
+        # cuts Z2-Z4, each in both directions and for several contexts, so
+        # both reachability lists hold entries that unreachable rules sort into.
+        reach_path = tmp_path / "reach.policy"
+        reach_path.write_text(
+            "zone Z1 transitive\nzone Z2 non-transitive\n"
+            "zone Z3 non-transitive\nzone Z4 non-transitive\n"
+            + "".join(
+                f"{rule.format(a, b)}\n"
+                for a, b in (("Z1", "Z3"), ("Z3", "Z1"), ("Z2", "Z4"), ("Z4", "Z2"))
+                for rule in rules
+            )
+        )
+        reach = (DIAMOND, str(reach_path), "--drop-device", "E", "--set-transitive", "Z2")
+        net = (str(graphml_path), str(policy_path))
         # Each seed verifies the structured map it printed itself.
         commands = (
-            ("map", "--format", "structured"),
-            ("map", "--format", "text"),
-            ("whatif", "--format", "structured", *whatif),
-            ("whatif", "--format", "text", *whatif),
-            ("verify", "--format", "structured", "{map}"),
+            ("map", *net, "--format", "structured"),
+            ("map", *net, "--format", "text"),
+            ("whatif", *net, "--format", "structured", *whatif),
+            ("whatif", *net, "--format", "text", *whatif),
+            ("verify", *net, "--format", "structured", "{map}"),
+            ("whatif", *reach, "--format", "structured"),
+            ("whatif", *reach, "--format", "text"),
         )
         src = str(Path(policymap.__file__).resolve().parents[1])
 
@@ -382,11 +399,10 @@ class TestDeterminism:
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             map_path = tmp_path / f"map-{hash_seed}.json"
             stdouts = []
-            for command, *options in commands:
+            for command in commands:
                 proc = subprocess.run(
-                    [sys.executable, "-m", "policymap.cli", command,
-                     str(graphml_path), str(policy_path),
-                     *(str(map_path) if o == "{map}" else o for o in options)],
+                    [sys.executable, "-m", "policymap.cli",
+                     *(str(map_path) if o == "{map}" else o for o in command)],
                     capture_output=True, env=env, timeout=120,
                 )
                 assert proc.returncode == 0, proc.stderr
@@ -399,4 +415,6 @@ class TestDeterminism:
         assert json.loads(first[0])["assignments"]
         assert json.loads(first[2])["removed"]
         assert json.loads(first[4])["clean"]
+        changed = json.loads(first[5])
+        assert len(changed["new_unreachable"]) == len(changed["resolved_unreachable"]) == 6
         assert first == outputs("2")

@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from policymap import documents
 from policymap.documents import (
     assignment_from_dict,
     assignment_to_dict,
@@ -69,6 +71,44 @@ class TestAssignmentsIO:
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
         assignment = DeviceAssignment("A", "e0", Direction.INBOUND, rule)
         assert assignment_from_dict(assignment_to_dict(assignment)) == assignment
+
+    @staticmethod
+    def _entries(*values):
+        return [
+            {"device": device, "interface": "e0", "direction": "inbound",
+             "context": context, "src": "Z1", "dst": "Z3", "value": value}
+            for device, (context, value) in zip("ABCDEFGH", values)
+        ]
+
+    def test_each_distinct_value_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(context, text):
+            calls.append((context, text))
+            return value_from_text(context, text)
+
+        monkeypatch.setattr(documents, "value_from_text", counting)
+        entries = self._entries(
+            ("security", "tcp/22"), ("security", "tcp/22"), ("measurement", "tcp/22"),
+            ("qos", "tcp/22 min 5MB/s"), ("security", "tcp/22"), ("qos", "tcp/22 min 5MB/s"),
+        )
+        loaded = load_assignments(json.dumps(entries))
+        assert sorted(calls) == sorted({
+            (PolicyContext.SECURITY, "tcp/22"),
+            (PolicyContext.MEASUREMENT, "tcp/22"),
+            (PolicyContext.QOS, "tcp/22 min 5MB/s"),
+        })
+        assert loaded == [assignment_from_dict(entry) for entry in entries]
+
+    def test_repeated_bad_value_fails_on_its_first_entry(self):
+        entries = self._entries(
+            ("security", "tcp/22"), ("security", "tcp/99999"), ("security", "tcp/99999")
+        )
+        with pytest.raises(AssignmentsError) as raised:
+            load_assignments(json.dumps(entries))
+        assert str(raised.value) == (
+            f"bad assignment entry {entries[1]!r}: bad port range '99999'"
+        )
 
     def test_load_accepts_bare_list(self):
         text = (
