@@ -19,15 +19,16 @@ rules:
 Finite sets of such paths form an idempotent semiring under set union and
 pairwise validity-checked concatenation, with ZERO the empty set and ONE
 the set holding only the empty path.  A PathMatrix is a square matrix
-of such sets indexed by zone.  All closure computation in this package
-is built on that algebra; everything here is immutable and safe to share
-between threads.
+of such sets indexed by zone, held as step tuples until a cell's PathSet
+is read.  All closure computation in this package is built on that
+algebra; everything here is immutable, but for a PathMatrix's idempotent
+cell caches, and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 # Marker returned by concat_path for a product that is not a valid path.
 # It is a lawful value of the algebra (the path-level analogue of the
@@ -127,6 +128,19 @@ def zone_subscript(zone: int) -> str:
     return str(zone + 1)
 
 
+Steps = tuple[DirectedDevice, ...]
+
+
+def steps_key(steps: Steps):
+    """Canonical path order: by zone sequence, then device ids, then interfaces."""
+    zones = (steps[0].from_zone,) + tuple(s.to_zone for s in steps) if steps else ()
+    return (
+        zones,
+        tuple(s.device_id for s in steps),
+        tuple((s.ingress_interface, s.egress_interface) for s in steps),
+    )
+
+
 @dataclass(frozen=True)
 class DevicePath:
     """A validity-checked sequence of directed devices; () is the empty path."""
@@ -163,12 +177,8 @@ class DevicePath:
         return len(self.steps)
 
     def sort_key(self):
-        """Canonical ordering: by zone sequence, then device ids, then interfaces."""
-        return (
-            self.zone_sequence(),
-            self.device_ids(),
-            tuple((s.ingress_interface, s.egress_interface) for s in self.steps),
-        )
+        """Canonical ordering, the one steps_key gives the steps."""
+        return steps_key(self.steps)
 
     def text(self) -> str:
         if not self.steps:
@@ -249,20 +259,51 @@ def union_sets(a: PathSet, b: PathSet) -> PathSet:
     return PathSet(a.paths | b.paths)
 
 
-@dataclass(frozen=True)
 class PathMatrix:
-    """Square matrix of path sets indexed by zone."""
+    """Square matrix of path sets indexed by zone, held as step tuples.
 
-    cells: tuple[tuple[PathSet, ...], ...]
+    cell(i, j) builds its PathSet, each path checked by DevicePath, on
+    first request.  sorted_steps (canonical order) and occurrences (the
+    directed devices on the paths) build no path object.  Each is built
+    once per cell; readers racing on a cell build equal values.
+    """
 
-    def __post_init__(self):
-        for row in self.cells:
-            if len(row) != len(self.cells):
-                raise ValueError("matrix is not square")
+    def __init__(self, cells: Sequence[Sequence[PathSet]]):
+        if any(len(row) != len(cells) for row in cells):
+            raise ValueError("matrix is not square")
+        self._steps = [[tuple(p.steps for p in cell) for cell in row] for row in cells]
+        self._built = {("cell", i, j): c for i, row in enumerate(cells) for j, c in enumerate(row)}
+
+    @classmethod
+    def of_steps(cls, rows: list[list[list[Steps]]]) -> "PathMatrix":
+        """The matrix whose cell (i, j) holds rows[i][j], distinct valid paths' steps."""
+        matrix = cls(())
+        matrix._steps = rows
+        return matrix
+
+    def _build(self, what: str, i: int, j: int, build: Callable):
+        value = self._built.get((what, i, j))
+        if value is None:
+            value = self._built[what, i, j] = build(self._steps[i][j])
+        return value
 
     @property
     def n(self) -> int:
-        return len(self.cells)
+        return len(self._steps)
 
     def cell(self, i: int, j: int) -> PathSet:
-        return self.cells[i][j]
+        return self._build("cell", i, j, lambda paths: PathSet(frozenset(map(DevicePath, paths))))
+
+    def sorted_steps(self, i: int, j: int) -> tuple[Steps, ...]:
+        return self._build("sorted", i, j, lambda paths: tuple(sorted(paths, key=steps_key)))
+
+    def occurrences(self, i: int, j: int) -> frozenset[DirectedDevice]:
+        return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathMatrix):
+            return NotImplemented
+        zones = range(self.n)
+        return self.n == other.n and all(
+            self.cell(i, j) == other.cell(i, j) for i in zones for j in zones
+        )

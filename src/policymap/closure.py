@@ -19,7 +19,7 @@ operations, each step recomputes every path it already has, and the
 iteration stops at the first fixpoint.  right_iterate, the closure the
 pipeline uses, evaluates the same recurrence semi-naively (Bancilhon
 1986): each round extends only the paths the round before found first,
-by one directed device, and the result is the same matrix A<n-1>.
+by one directed device, into the same matrix A<n-1> of step tuples.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -35,6 +35,7 @@ from .algebra import (
     DirectedDevice,
     PathMatrix,
     PathSet,
+    Steps,
     concat_sets,
     union_sets,
 )
@@ -111,17 +112,17 @@ def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> Path
 def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix:
     """The closure A* = A<n-1>: every valid path between every zone pair.
 
-    Evaluates the recurrence semi-naively: round 1 is the off-diagonal
-    adjacency, and round k+1 extends only the paths first found in round
-    k that end in a transitive zone, each by one directed device leaving
-    that zone (Delta<k+1> = (Delta<k> . T) . A over nonzero cells).  A
-    path's one-step-shorter prefix is unique, so no path is found twice
-    and the loop ends when a round finds nothing new.  Each frontier
-    entry carries bitmasks of the zones it visits and the devices it
-    uses, so the validity test of one extension is two ``&`` operations;
-    every path is still built, and checked, as a DevicePath.  The result
-    equals iterate(adjacency, transitivity, n-1), the paper's literal
-    recurrence.
+    Evaluates the recurrence semi-naively: round 0 is the empty path at
+    each zone, and round k+1 extends the paths first found in round k
+    (past round 0, only those ending in a transitive zone) by one device
+    leaving their end zone (Delta<k+1> = (Delta<k> . T) . A over nonzero
+    cells).  A path's one-step-shorter prefix is unique, so no path is
+    found twice and the loop ends when a round finds nothing new.  Each
+    frontier entry carries bitmasks of the zones it visits and the
+    devices it uses, so the validity test of one extension, the loop's
+    only test, is two ``&`` operations; a cell's paths are checked again
+    as DevicePaths when its PathSet is read.  The result equals
+    iterate(adjacency, transitivity, n-1), the paper's literal recurrence.
 
     Beyond iterate's input checks, raises ValueError unless every
     off-diagonal cell (i, j) of A holds only one-step paths from i to j
@@ -139,10 +140,6 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
     device_bit: dict[str, int] = {}
     # Per zone: (directed device leaving it, its to-zone's bit, its physical device's bit).
     leaving: list[list[tuple[DirectedDevice, int, int]]] = [[] for _ in range(n)]
-    found: list[list[list[DevicePath]]] = [[[] for _ in range(n)] for _ in range(n)]
-    # Frontier entry: (start zone, steps, visited-zone mask, used-device mask),
-    # kept only for paths that end in a transitive zone.
-    frontier = []
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -156,31 +153,23 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
                 step = path.steps[0]
                 bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
                 leaving[i].append((step, 1 << j, bit))
-                found[i][j].append(path)
-                if transitive[j]:
-                    frontier.append((i, path.steps, (1 << i) | (1 << j), bit))
+    found: list[list[list[Steps]]] = [[[()] if i == j else [] for j in range(n)] for i in range(n)]
+    # Frontier entry: (start zone, end zone, steps, visited-zone mask, used-device mask).
+    frontier = [(i, i, (), 1 << i, 0) for i in range(n)]
     while frontier:
         grown = []
-        for start, steps, zones, devices in frontier:
+        for start, end, steps, zones, devices in frontier:
             row = found[start]
-            for step, zone_bit, bit in leaving[steps[-1].to_zone]:
+            for step, zone_bit, bit in leaving[end]:
                 if zones & zone_bit or devices & bit:
                     continue
-                path = DevicePath(steps + (step,))
+                path = steps + (step,)
                 row[step.to_zone].append(path)
                 if transitive[step.to_zone]:
-                    grown.append((start, path.steps, zones | zone_bit, devices | bit))
+                    grown.append((start, step.to_zone, path, zones | zone_bit, devices | bit))
         frontier = grown
 
-    return PathMatrix(
-        tuple(
-            tuple(
-                ONE if i == j else PathSet(frozenset(paths)) if paths else ZERO
-                for j, paths in enumerate(row)
-            )
-            for i, row in enumerate(found)
-        )
-    )
+    return PathMatrix.of_steps(found)
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:

@@ -50,6 +50,10 @@ class EmptyPathSet(PolicymapError):
     """End-to-end derivation over an empty path set (unreachable pair)."""
 
 
+class UnprintableValue(PolicymapError):
+    """A derived policy value has more digits than the interpreter prints."""
+
+
 class UnreachablePair(PolicymapError):
     """A rule names a zone pair with no valid device path between them."""
 

@@ -50,7 +50,7 @@ from .policy import (
     QosValue,
     SecurityValue,
     compose_parallel,
-    derive_end_to_end,
+    fold_end_to_end,
 )
 from .topology import ZoneConduitModel
 
@@ -141,14 +141,6 @@ class VerificationReport:
         return self.error_count == 0 and not self.deltas
 
 
-def path_devices(astar: PathMatrix, i: int, j: int) -> frozenset[DirectedDevice]:
-    """Every directed-device occurrence across the valid paths from i to j."""
-    out = set()
-    for path in astar.cell(i, j):
-        out.update(path.steps)
-    return frozenset(out)
-
-
 def realizations(dev: DirectedDevice) -> tuple[tuple[str, Direction], tuple[str, Direction]]:
     """The (interface, direction) pairs that filter dev's source-to-destination
     traffic: inbound on its ingress interface and outbound on its egress."""
@@ -170,16 +162,14 @@ def map_rules(
     for rule in rules:
         i = model.zone_index(rule.src)
         j = model.zone_index(rule.dst)
-        paths = astar.cell(i, j)
-        if not paths:
+        targets: Iterable[DirectedDevice] = astar.occurrences(i, j)
+        if not targets:
             unreachable.append(rule)
             continue
         if rule.context is PolicyContext.MEASUREMENT and (
             measurement_strategy is MeasurementStrategy.FIRST
         ):
-            targets: Iterable[DirectedDevice] = {path.steps[0] for path in paths}
-        else:
-            targets = path_devices(astar, i, j)
+            targets = {steps[0] for steps in astar.sorted_steps(i, j)}
         placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
         assignments.extend(
             DeviceAssignment(device_id, interface, direction, rule)
@@ -270,7 +260,7 @@ def verify_assignments(
 
     pairs = sorted(set(intended) | set(by_pair))
     zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
-    indexes = {pair: realizer_index(path_devices(astar, i, j)) for pair, (i, j) in zones.items()}
+    indexes = {pair: realizer_index(astar.occurrences(i, j)) for pair, (i, j) in zones.items()}
 
     findings = [
         AssignmentFinding(
@@ -284,7 +274,7 @@ def verify_assignments(
     overprovisioned = []
     default = _absent_device_default(ctx)
     for (src, dst), (i, j) in zones.items():
-        paths = astar.cell(i, j)
+        paths = astar.sorted_steps(i, j)
         if not paths:
             # Unreachable pair: nothing flows, so nothing to compare; any
             # assignments here were already flagged incorrect-firewall.
@@ -304,7 +294,7 @@ def verify_assignments(
             for dev, found in values.items()
         }
 
-        derived = derive_end_to_end(ctx, device_policies, paths)
+        derived = fold_end_to_end(ctx, device_policies, paths)
         rule = intended.get((src, dst))
         wanted = rule.value if rule is not None else default
         if ctx is PolicyContext.QOS:

@@ -21,12 +21,13 @@ and add up across disjoint paths.
 
 The end-to-end value implemented by a set of device paths is the parallel
 combination over paths of the serial combination of the per-device values
-along each path.  derive_end_to_end folds it by value classes, and that is
-exact: serial composition is idempotent and commutative in all three
-contexts, so a path's value depends only on the set of distinct device
-values along it; parallel composition is idempotent for security and
-measurement, so a repeated set adds nothing there, while the qos sum keeps
-every path's share.  Paths are walked in canonical order, so an error is
+along each path.  fold_end_to_end, which derive_end_to_end wraps, folds
+it by value classes over the paths' step tuples, and that is exact:
+serial composition is idempotent and commutative in all three contexts,
+so a path's value depends only on the set of distinct device values
+along it; parallel composition is idempotent for security and
+measurement, so a repeated set adds nothing there, while the qos sum
+keeps every path's share.  Paths are walked in canonical order, so an error is
 the one, with the message, that a path-by-path fold would raise first.
 
 Policy files are line-oriented ('#' starts a comment):
@@ -51,14 +52,15 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
-from .algebra import DirectedDevice, PathSet
+from .algebra import DirectedDevice, PathSet, Steps
 from .errors import (
     ContextMismatch,
     EmptyPathSet,
     MissingDevicePolicy,
     PolicyParseError,
+    UnprintableValue,
 )
 
 
@@ -270,7 +272,18 @@ def derive_end_to_end(
     Parallel combination over paths of the serial combination along each
     path.  The empty path contributes the serial identity.  ``paths``
     must be nonempty (an empty set means the pair is unreachable) and
-    ``device_policies`` must cover every device appearing in it.
+    ``device_policies`` must cover every device appearing in it.  This is
+    fold_end_to_end over the paths' steps in canonical order.
+    """
+    return fold_end_to_end(ctx, device_policies, [p.steps for p in paths.sorted_paths()])
+
+
+def fold_end_to_end(
+    ctx: PolicyContext,
+    device_policies: Mapping[DirectedDevice, PolicyValue],
+    sorted_steps: Sequence[Steps],
+) -> PolicyValue:
+    """derive_end_to_end over paths given as step tuples in canonical order.
 
     Each distinct device value gets one bit and a path's key is the OR of
     its steps' bits.  Each key is folded once; for security and
@@ -279,15 +292,15 @@ def derive_end_to_end(
     looked up before its fold, as in the path-by-path fold, so errors
     come in the same order.
     """
-    if not paths:
+    if not sorted_steps:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
     bits: dict[DirectedDevice, int] = {}
     classes: dict[PolicyValue, int] = {}
     serial: dict[int, PolicyValue] = {}
     derived = None
-    for path in paths.sorted_paths():
+    for steps in sorted_steps:
         key = 0
-        for step in path.steps:
+        for step in steps:
             bit = bits.get(step)
             if bit is None:
                 try:
@@ -305,9 +318,9 @@ def derive_end_to_end(
             key |= bit
         value = serial.get(key)
         if value is None:
-            value = serial_identity(ctx) if path.is_empty else reduce(
+            value = serial_identity(ctx) if not steps else reduce(
                 lambda p, q: compose_serial(ctx, p, q),
-                [device_policies[step] for step in path.steps],
+                [device_policies[step] for step in steps],
             )
             serial[key] = value
         elif ctx is not PolicyContext.QOS:
@@ -393,15 +406,24 @@ def parse_services(text: str) -> ServiceSet:
 
 
 def bandwidth_text(value: Fraction) -> str:
-    """Exact decimal form when one exists (up to six places), else p/q."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    for places in range(1, 7):
-        scaled = value * 10**places
-        if scaled.denominator == 1:
-            digits = str(scaled.numerator).rjust(places + 1, "0")
-            return digits[:-places] + "." + digits[-places:]
-    return f"{value.numerator}/{value.denominator}"
+    """Exact decimal form when one exists (up to six places), else p/q.
+
+    UnprintableValue past the int-to-str digit limit, which qos sums reach.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        for places in range(1, 7):
+            scaled = value * 10**places
+            if scaled.denominator == 1:
+                digits = str(scaled.numerator).rjust(places + 1, "0")
+                return digits[:-places] + "." + digits[-places:]
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise UnprintableValue(
+            f"bandwidth of a {value.numerator.bit_length()}-bit numerator and a "
+            f"{value.denominator.bit_length()}-bit denominator has too many digits to print"
+        ) from exc
 
 
 def value_to_text(value: PolicyValue) -> str:

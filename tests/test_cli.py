@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import policymap
-from policymap.cli import main
+from policymap.algebra import DevicePath
+from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
-from policymap.topology import build_model
+from policymap.policy import parse_policy
+from policymap.topology import adjacency_matrix, build_model, load_topology
 
 from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, data_path
 from modelgen import random_topology
@@ -176,6 +178,27 @@ class TestVerify:
         report = json.loads(out)
         assert report["counts"]["incorrect_direction"] == 1
 
+    def test_qos_sum_too_long_to_print_exits_1(self, capsys, tmp_path):
+        # A qos sum's denominators multiply across parallel paths: paths
+        # capped at 1/(10**2200 + 7) and at 1/(10**2200 + 9) sum to a
+        # bandwidth of about 4400 digits, more than int-to-str converts.
+        policy = tmp_path / "qos.policy"
+        policy.write_text(
+            "".join(f"zone Z{i} transitive\n" for i in range(1, 5))
+            + "qos Z1 -> Z3 : tcp/80 min 5MB/s\n"
+        )
+        target = self._mapfile(capsys, tmp_path, str(policy))
+        doc = json.loads(target.read_text())
+        for k, entry in enumerate(doc["assignments"]):
+            entry["value"] = f"tcp/80 min 1/1{'0' * 2199}{'79'[k % 2]}MB/s"
+        target.write_text(json.dumps(doc))
+        for fmt in ("text", "structured"):
+            code, out, err = run(
+                capsys, "verify", DIAMOND, str(policy), str(target), "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err.startswith("error: UnprintableValue: ") and err.count("\n") == 1
+
     def test_qos_predicate_mismatch_exits_1(self, capsys, tmp_path):
         target = self._mapfile(capsys, tmp_path, POLICY_MIXED)
         doc = json.loads(target.read_text())
@@ -319,6 +342,41 @@ class TestExitCodeContract:
         assert code == expected
 
 
+class TestPathObjects:
+    """map and whatif read the closure's step tuples: the only DevicePaths
+    they build are the one-step paths of the adjacency matrices."""
+
+    @pytest.mark.parametrize(
+        "options, dropped",
+        [(("map",), None), (("whatif", "--drop-device", "A", "--set-non-transitive", "Z2"), "A")],
+    )
+    def test_only_adjacency_paths_are_built(self, capsys, monkeypatch, options, dropped):
+        topology = load_topology(DIAMOND)
+        transitivity = parse_policy(Path(POLICY_MIXED).read_text()).transitivity
+        topologies = [topology] + ([_drop_devices(topology, [dropped])] if dropped else [])
+        one_step = 0
+        for net in topologies:
+            model = build_model(net, transitivity)
+            adjacency = adjacency_matrix(model)
+            one_step += sum(
+                len(adjacency.cell(i, j)) for i in range(model.n) for j in range(model.n) if i != j
+            )
+
+        built = []
+        check = DevicePath.__post_init__
+
+        def counting(path):
+            built.append(path)
+            check(path)
+
+        monkeypatch.setattr(DevicePath, "__post_init__", counting)
+        verb, *rest = options
+        code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *rest)
+        assert code == 0 and out
+        assert all(len(path) == 1 for path in built)
+        assert len(built) == one_step
+
+
 def _graphml_of(topology) -> str:
     nodes = [
         f'<node id="{n.node_id}"><data key="k">{n.kind}</data><data key="n">{n.name}</data></node>'
@@ -382,7 +440,12 @@ class TestDeterminism:
         )
         reach = (DIAMOND, str(reach_path), "--drop-device", "E", "--set-transitive", "Z2")
         net = (str(graphml_path), str(policy_path))
-        # Each seed verifies the structured map it printed itself.
+        busiest = max(pairs, key=lambda pair: len(closure.cell(*pair)))
+        assert len(closure.cell(*busiest)) >= 3
+        busiest_names = [names[k] for k in busiest]
+        # Each seed verifies the structured map it printed itself, and a
+        # copy whose qos bandwidths fall short: its derived sums over
+        # parallel paths are reported as policy deltas.
         commands = (
             ("map", *net, "--format", "structured"),
             ("map", *net, "--format", "text"),
@@ -391,24 +454,36 @@ class TestDeterminism:
             ("verify", *net, "--format", "structured", "{map}"),
             ("whatif", *reach, "--format", "structured"),
             ("whatif", *reach, "--format", "text"),
+            ("paths", *net, "--format", "structured", *busiest_names),
+            ("paths", *net, "--format", "text", *busiest_names),
+            ("verify", *net, "--format", "structured", "{short}"),
+            ("verify", *net, "--format", "text", "{short}"),
         )
         src = str(Path(policymap.__file__).resolve().parents[1])
+
+        def short_of(map_json: bytes) -> bytes:
+            doc = json.loads(map_json)
+            for k, entry in enumerate(doc["assignments"]):
+                if entry["context"] == "qos":
+                    entry["value"] = f"tcp/80 min {1 + k % 2}/{3 + k % 5}000MB/s"
+            return json.dumps(doc).encode("utf-8")
 
         def outputs(hash_seed):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            map_path = tmp_path / f"map-{hash_seed}.json"
+            files = {o: tmp_path / f"{o[1:-1]}-{hash_seed}.json" for o in ("{map}", "{short}")}
             stdouts = []
             for command in commands:
                 proc = subprocess.run(
                     [sys.executable, "-m", "policymap.cli",
-                     *(str(map_path) if o == "{map}" else o for o in command)],
+                     *(str(files.get(o, o)) for o in command)],
                     capture_output=True, env=env, timeout=120,
                 )
-                assert proc.returncode == 0, proc.stderr
+                assert proc.returncode == (3 if "{short}" in command else 0), proc.stderr
                 stdouts.append(proc.stdout)
                 if len(stdouts) == 1:
-                    map_path.write_bytes(proc.stdout)
+                    files["{map}"].write_bytes(proc.stdout)
+                    files["{short}"].write_bytes(short_of(proc.stdout))
             return stdouts
 
         first = outputs("1")
@@ -417,4 +492,8 @@ class TestDeterminism:
         assert json.loads(first[4])["clean"]
         changed = json.loads(first[5])
         assert len(changed["new_unreachable"]) == len(changed["resolved_unreachable"]) == 6
+        assert first[7].count(b", ") == len(closure.cell(*busiest)) - 1
+        short = json.loads(first[9])
+        assert short["counts"]["correct"] == len(json.loads(first[0])["assignments"])
+        assert {d["context"] for d in short["policy_deltas"]} == {"qos"}
         assert first == outputs("2")

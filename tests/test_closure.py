@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,9 @@ from policymap.closure import (
     matrix_union,
     right_iterate,
 )
-from policymap.errors import DimensionMismatch
+from policymap.errors import DimensionMismatch, PolicymapError
+from policymap.mapper import Direction, map_rules, verify_assignments
+from policymap.policy import PolicyContext
 from policymap.topology import (
     NetworkTopology,
     TopologyLink,
@@ -30,7 +33,7 @@ from policymap.topology import (
 )
 
 from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN
-from modelgen import random_model, random_topology
+from modelgen import random_model, random_rules, random_topology, random_value
 
 
 def am_tm(model):
@@ -43,6 +46,59 @@ def fixpoint_round(adjacency, transitivity):
     while iterate(adjacency, transitivity, k) != iterate(adjacency, transitivity, k + 1):
         k += 1
     return k
+
+
+def random_models():
+    rng = random.Random(0xACE)
+    return [random_model(rng) for _ in range(30)]
+
+
+def whatif_variant_models():
+    """Random models, each also with one firewall dropped and with one
+    zone's transitivity flipped, as a what-if changes them."""
+    rng = random.Random(0x5E1)
+    for _ in range(50):
+        topology, names = random_topology(rng)
+        transitivity = {name: rng.random() < 0.6 for name in names}
+        dropped = rng.choice(topology.firewalls()).node_id
+        flipped = rng.choice(names)
+        variants = (
+            (topology, transitivity),
+            (
+                NetworkTopology(
+                    tuple(n for n in topology.nodes if n.node_id != dropped),
+                    tuple(l for l in topology.links if l.firewall != dropped),
+                ),
+                transitivity,
+            ),
+            (topology, {**transitivity, flipped: not transitivity[flipped]}),
+        )
+        for variant_topology, variant_transitivity in variants:
+            yield build_model(variant_topology, variant_transitivity)
+
+
+def sparse_sixty_models():
+    """Three random models of 50 to 60 zones and at most 80 firewalls.
+
+    Draws with fewer zones but as many firewalls are dense, and their
+    path counts (the oracle's time too) grow exponentially, so only the
+    large-zone draws are kept.
+    """
+    rng = random.Random(0x600)
+    kept = 0
+    while kept < 3:
+        model = random_model(rng, max_zones=60, max_firewalls=80)
+        if model.n >= 50:
+            kept += 1
+            yield model
+
+
+def outcome(call, *args):
+    """A call's result, or the type and message of the policymap error it raises."""
+    try:
+        return call(*args)
+    except PolicymapError as exc:
+        return type(exc), str(exc)
 
 
 def foreign_zone_matrix():
@@ -193,9 +249,7 @@ class TestConvergence:
 
 class TestClosureProperties:
     def test_oracle_equivalence_sample(self):
-        rng = random.Random(0xACE)
-        for _ in range(30):
-            model = random_model(rng)
+        for model in random_models():
             assert right_iterate(*am_tm(model)) == brute_force_paths(model)
 
     def test_paths_are_bounded_and_transit_only_through_transitive(self):
@@ -212,44 +266,17 @@ class TestClosureProperties:
                             assert zone in transitive
 
     def test_random_models_and_whatif_variants_match_oracle_and_reference(self):
-        rng = random.Random(0x5E1)
-        for _ in range(50):
-            topology, names = random_topology(rng)
-            transitivity = {name: rng.random() < 0.6 for name in names}
-            dropped = rng.choice(topology.firewalls()).node_id
-            flipped = rng.choice(names)
-            variants = (
-                (topology, transitivity),
-                (
-                    NetworkTopology(
-                        tuple(n for n in topology.nodes if n.node_id != dropped),
-                        tuple(l for l in topology.links if l.firewall != dropped),
-                    ),
-                    transitivity,
-                ),
-                (topology, {**transitivity, flipped: not transitivity[flipped]}),
-            )
-            for variant_topology, variant_transitivity in variants:
-                model = build_model(variant_topology, variant_transitivity)
-                a, t = am_tm(model)
-                closure = right_iterate(a, t)
-                assert closure == brute_force_paths(model)
-                assert closure == iterate(a, t, model.n - 1)
+        for model in whatif_variant_models():
+            a, t = am_tm(model)
+            closure = right_iterate(a, t)
+            assert closure == brute_force_paths(model)
+            assert closure == iterate(a, t, model.n - 1)
 
     def test_sparse_sixty_zone_models_match_oracle(self):
         # Many zones, few paths: a dense loop that pays n^3 cell products
         # per round, empty cells included, would make this test slow.
-        # Draws with fewer zones but as many firewalls are dense, and their
-        # path counts (the oracle's time too) grow exponentially, so only
-        # the large-zone draws are checked.
-        rng = random.Random(0x600)
-        checked = 0
-        while checked < 3:
-            model = random_model(rng, max_zones=60, max_firewalls=80)
-            if model.n < 50:
-                continue
+        for model in sparse_sixty_models():
             assert right_iterate(*am_tm(model)) == brute_force_paths(model)
-            checked += 1
 
     def test_non_transitive_endpoints_still_reachable(self, diamond_topology):
         # Destination zone's own flag never blocks paths ending there.
@@ -264,3 +291,38 @@ class TestClosureProperties:
             matrix_union(identity_matrix(2), identity_matrix(3))
         with pytest.raises(DimensionMismatch):
             matrix_product(identity_matrix(2), identity_matrix(3))
+
+
+class TestCompactCells:
+    """The closure's step tuples, canonical order and occurrence sets, which
+    map, verify and whatif read in place of DevicePaths, agree with the
+    oracle's PathSets."""
+
+    @pytest.mark.parametrize(
+        "models", [random_models, whatif_variant_models, sparse_sixty_models]
+    )
+    def test_cells_and_audit_match_oracle(self, models):
+        rng = random.Random(0xC0C)
+        for model in models():
+            closure = right_iterate(*am_tm(model))
+            oracle = brute_force_paths(model)
+            for i in range(model.n):
+                for j in range(model.n):
+                    cell = oracle.cell(i, j)
+                    assert list(closure.sorted_steps(i, j)) == [
+                        p.steps for p in cell.sorted_paths()
+                    ]
+                    assert closure.occurrences(i, j) == {s for p in cell for s in p.steps}
+            for ctx in PolicyContext:
+                rules = random_rules(rng, model, ctx)
+                placed, _ = map_rules(rules, closure, model)
+                existing = [
+                    replace(a, direction=Direction.OUTBOUND) if rng.random() < 0.2
+                    else replace(a, rule=replace(a.rule, value=random_value(rng, ctx)))
+                    if rng.random() < 0.2 else a
+                    for a in placed
+                    if rng.random() < 0.9
+                ]
+                assert outcome(verify_assignments, ctx, rules, closure, model, existing) == (
+                    outcome(verify_assignments, ctx, rules, oracle, model, existing)
+                )

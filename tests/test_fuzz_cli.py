@@ -93,10 +93,21 @@ edited_entries = st.lists(
     ).map(lambda pair: {**pair[0], **pair[1]}),
     max_size=8,
 )
+# The map with each qos entry's bandwidth over a 2201-digit denominator:
+# parallel paths multiply the denominators of the derived sum.
+long_denominators = st.lists(
+    st.sampled_from("1379"), min_size=len(MAP_ENTRIES), max_size=len(MAP_ENTRIES)
+).map(
+    lambda digits: [
+        {**entry, "value": f"tcp/80 min 1/1{'0' * 2199}{digit}MB/s"}
+        if entry["context"] == "qos" else entry
+        for entry, digit in zip(MAP_ENTRIES, digits)
+    ]
+)
 assignments_json = st.one_of(
     json_values,
     edited_entries,
-    edited_entries.map(lambda entries: {"assignments": entries}),
+    st.one_of(edited_entries, long_denominators).map(lambda entries: {"assignments": entries}),
 ).map(lambda value: json.dumps(value).encode("utf-8"))
 
 

@@ -12,7 +12,6 @@ from policymap.mapper import (
     DirectionConvention,
     MeasurementStrategy,
     map_policy,
-    path_devices,
     verify_assignments,
 )
 from policymap.policy import (
@@ -267,5 +266,5 @@ class TestVerify:
 class TestPathDevices:
     def test_occurrences_across_paths(self, diamond_astar, diamond_model):
         i, j = diamond_model.zone_index("Z1"), diamond_model.zone_index("Z3")
-        devs = path_devices(diamond_astar, i, j)
+        devs = diamond_astar.occurrences(i, j)
         assert sorted(d.device_id for d in devs) == list("ABCDEFG")
