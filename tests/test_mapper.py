@@ -268,3 +268,38 @@ class TestPathDevices:
         i, j = diamond_model.zone_index("Z1"), diamond_model.zone_index("Z3")
         devs = diamond_astar.occurrences(i, j)
         assert sorted(d.device_id for d in devs) == list("ABCDEFG")
+
+
+class TestContextChecks:
+    """Each entry point names the offending context, the kind of input and
+    its own task; rules are checked before assignments."""
+
+    QOS_RULE = PolicyRule("Z1", "Z3", QosValue(Fraction(10), SSH))
+
+    def message(self, call, *args):
+        with pytest.raises(ContextMismatch) as caught:
+            call(*args)
+        return str(caught.value)
+
+    def test_map_policy_names_the_rule(self, diamond_model, diamond_astar):
+        assert self.message(
+            map_policy, PolicyContext.QOS, [RULE_Z1_Z3], diamond_astar, diamond_model
+        ) == "security rule passed to qos mapping"
+
+    def test_verify_names_the_rule(self, diamond_model, diamond_astar):
+        assert self.message(
+            verify_assignments, SEC, [self.QOS_RULE], diamond_astar, diamond_model, []
+        ) == "qos rule passed to security verification"
+
+    def test_verify_names_the_assignment(self, diamond_model, diamond_astar):
+        existing = map_policy(SEC, [RULE_Z1_Z3], diamond_astar, diamond_model)
+        assert self.message(
+            verify_assignments, PolicyContext.QOS, [], diamond_astar, diamond_model, existing
+        ) == "security assignment passed to qos verification"
+
+    def test_verify_checks_rules_before_assignments(self, diamond_model, diamond_astar):
+        existing = map_policy(SEC, [RULE_Z1_Z3], diamond_astar, diamond_model)
+        assert self.message(
+            verify_assignments,
+            PolicyContext.MEASUREMENT, [self.QOS_RULE], diamond_astar, diamond_model, existing,
+        ) == "qos rule passed to measurement verification"
