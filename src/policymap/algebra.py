@@ -262,23 +262,27 @@ def union_sets(a: PathSet, b: PathSet) -> PathSet:
 class PathMatrix:
     """Square matrix of path sets indexed by zone, held as step tuples.
 
-    cell(i, j) builds its PathSet, each path checked by DevicePath, on
-    first request.  sorted_steps (canonical order) and occurrences (the
-    directed devices on the paths) build no path object.  Each is built
-    once per cell; readers racing on a cell build equal values.
+    PathMatrix(rows) takes rows[i][j], the steps of cell (i, j)'s distinct
+    valid paths, as right_iterate builds them; PathMatrix.build(n, cell)
+    takes a PathSet for each cell.  cell(i, j) builds its PathSet, each
+    path checked by DevicePath, on first request.  sorted_steps (canonical
+    order) and occurrences (the directed devices on the paths) build no
+    path object.  Each is built once per cell; readers racing on a cell
+    build equal values.
     """
 
-    def __init__(self, cells: Sequence[Sequence[PathSet]]):
-        if any(len(row) != len(cells) for row in cells):
+    def __init__(self, rows: Sequence[Sequence[Sequence[Steps]]]):
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix is not square")
-        self._steps = [[tuple(p.steps for p in cell) for cell in row] for row in cells]
-        self._built = {("cell", i, j): c for i, row in enumerate(cells) for j, c in enumerate(row)}
+        self._steps = rows
+        self._built: dict = {}
 
     @classmethod
-    def of_steps(cls, rows: list[list[list[Steps]]]) -> "PathMatrix":
-        """The matrix whose cell (i, j) holds rows[i][j], distinct valid paths' steps."""
-        matrix = cls(())
-        matrix._steps = rows
+    def build(cls, n: int, cell: Callable[[int, int], PathSet]) -> "PathMatrix":
+        """The n x n matrix whose cell (i, j) is cell(i, j)."""
+        cells = {("cell", i, j): cell(i, j) for i in range(n) for j in range(n)}
+        matrix = cls([[[p.steps for p in cells["cell", i, j]] for j in range(n)] for i in range(n)])
+        matrix._built.update(cells)
         return matrix
 
     def _build(self, what: str, i: int, j: int, build: Callable):

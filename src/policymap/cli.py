@@ -20,6 +20,7 @@ from .mapper import (
     DirectionConvention,
     MeasurementStrategy,
     map_rules,
+    require_reachable,
     verify_assignments,
 )
 from .policy import PolicyContext, PolicyDocument, load_policy
@@ -74,11 +75,7 @@ def _map_all(
     strategy: MeasurementStrategy,
 ) -> list[DeviceAssignment]:
     """Map every rule; raises UnreachablePair for the first unreachable one."""
-    assignments, unreachable = _map_tolerant(policy_doc, astar, model, convention, strategy)
-    if unreachable:
-        first = unreachable[0]
-        raise UnreachablePair(first.src, first.dst, first.context.value)
-    return assignments
+    return require_reachable(_map_tolerant(policy_doc, astar, model, convention, strategy))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -119,18 +116,13 @@ def cmd_verify(args) -> int:
         lambda path: documents.load_assignments(Path(path).read_text(encoding="utf-8")),
     )
 
-    reports = []
-    for ctx in PolicyContext:
-        reports.append(
-            verify_assignments(
-                ctx,
-                policy_doc.rules_for(ctx),
-                astar,
-                model,
-                [a for a in existing if a.rule.context is ctx],
-            )
+    report = documents.merge_reports([
+        verify_assignments(
+            ctx, policy_doc.rules_for(ctx), astar, model,
+            [a for a in existing if a.rule.context is ctx],
         )
-    report = documents.merge_reports(reports)
+        for ctx in PolicyContext
+    ])
     document = documents.verify_document(report)
     _emit(_render(document, documents.render_verify_text, args.format), args.out)
     return 0 if report.clean else 3
@@ -164,27 +156,16 @@ def cmd_whatif(args) -> int:
     convention = DirectionConvention(args.direction_convention)
     strategy = MeasurementStrategy(args.measurement_strategy)
 
-    base_model, base_astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
-    base_assignments, base_unreachable = _map_tolerant(
-        policy_doc, base_astar, base_model, convention, strategy
-    )
+    def mapped(topology: NetworkTopology, transitivity: dict):
+        model, astar = _compile(topology, transitivity, args.firewall_zones)
+        return _map_tolerant(policy_doc, astar, model, convention, strategy)
 
+    before = mapped(topology, policy_doc.transitivity)
     changed_transitivity = dict(policy_doc.transitivity)
-    for zone in args.set_transitive:
-        changed_transitivity[zone] = True
-    for zone in args.set_non_transitive:
-        changed_transitivity[zone] = False
-    changed_topology = _drop_devices(topology, args.drop_device)
-    changed_model, changed_astar = _compile(
-        changed_topology, changed_transitivity, args.firewall_zones
-    )
-    changed_assignments, changed_unreachable = _map_tolerant(
-        policy_doc, changed_astar, changed_model, convention, strategy
-    )
-
-    document = documents.diff_document(
-        base_assignments, base_unreachable, changed_assignments, changed_unreachable
-    )
+    changed_transitivity.update(dict.fromkeys(args.set_transitive, True))
+    changed_transitivity.update(dict.fromkeys(args.set_non_transitive, False))
+    after = mapped(_drop_devices(topology, args.drop_device), changed_transitivity)
+    document = documents.diff_document(*before, *after)
     _emit(_render(document, documents.render_diff_text, args.format), args.out)
     return 0
 

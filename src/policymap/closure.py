@@ -28,6 +28,9 @@ independent oracle for it.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import permutations
+
 from .algebra import (
     ONE,
     ZERO,
@@ -44,36 +47,25 @@ from .topology import ZoneConduitModel
 
 
 def identity_matrix(n: int) -> PathMatrix:
-    return PathMatrix(
-        tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    )
+    return PathMatrix.build(n, lambda i, j: ONE if i == j else ZERO)
 
 
 def matrix_union(left: PathMatrix, right: PathMatrix) -> PathMatrix:
     if left.n != right.n:
         raise DimensionMismatch(f"union of {left.n}x{left.n} with {right.n}x{right.n}")
-    return PathMatrix(
-        tuple(
-            tuple(union_sets(left.cell(i, j), right.cell(i, j)) for j in range(left.n))
-            for i in range(left.n)
-        )
-    )
+    return PathMatrix.build(left.n, lambda i, j: union_sets(left.cell(i, j), right.cell(i, j)))
 
 
 def matrix_product(left: PathMatrix, right: PathMatrix) -> PathMatrix:
     if left.n != right.n:
         raise DimensionMismatch(f"product of {left.n}x{left.n} with {right.n}x{right.n}")
-    n = left.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for q in range(n):
-                acc = union_sets(acc, concat_sets(left.cell(i, q), right.cell(q, j)))
-            row.append(acc)
-        rows.append(tuple(row))
-    return PathMatrix(tuple(rows))
+    zones = range(left.n)
+    return PathMatrix.build(
+        left.n,
+        lambda i, j: reduce(
+            union_sets, (concat_sets(left.cell(i, q), right.cell(q, j)) for q in zones), ZERO
+        ),
+    )
 
 
 def _check_inputs(adjacency: PathMatrix, transitivity: PathMatrix) -> None:
@@ -140,19 +132,16 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
     device_bit: dict[str, int] = {}
     # Per zone: (directed device leaving it, its to-zone's bit, its physical device's bit).
     leaving: list[list[tuple[DirectedDevice, int, int]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for path in adjacency.cell(i, j):
-                if len(path) != 1 or (path.steps[0].from_zone, path.steps[0].to_zone) != (i, j):
-                    raise ValueError(
-                        f"adjacency cell ({i}, {j}) holds {path.text()}, "
-                        f"not a one-step path from {i} to {j}"
-                    )
-                step = path.steps[0]
-                bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
-                leaving[i].append((step, 1 << j, bit))
+    for i, j in permutations(range(n), 2):
+        for path in adjacency.cell(i, j):
+            if len(path) != 1 or (path.steps[0].from_zone, path.steps[0].to_zone) != (i, j):
+                raise ValueError(
+                    f"adjacency cell ({i}, {j}) holds {path.text()}, "
+                    f"not a one-step path from {i} to {j}"
+                )
+            step = path.steps[0]
+            bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
+            leaving[i].append((step, 1 << j, bit))
     found: list[list[list[Steps]]] = [[[()] if i == j else [] for j in range(n)] for i in range(n)]
     # Frontier entry: (start zone, end zone, steps, visited-zone mask, used-device mask).
     frontier = [(i, i, (), 1 << i, 0) for i in range(n)]
@@ -169,7 +158,7 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
                     grown.append((start, step.to_zone, path, zones | zone_bit, devices | bit))
         frontier = grown
 
-    return PathMatrix.of_steps(found)
+    return PathMatrix(found)
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:
@@ -186,7 +175,7 @@ def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:
         for dev in devs:
             by_from.setdefault(dev.from_zone, []).append(dev)
 
-    found: list[list[set[DevicePath]]] = [[set() for _ in range(n)] for _ in range(n)]
+    found: dict[tuple[int, int], set[DevicePath]] = {}
     for start in range(n):
         stack = [
             ((dev,), {start, dev.to_zone}, {dev.device_id})
@@ -195,7 +184,7 @@ def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:
         while stack:
             steps, zones_seen, devices_seen = stack.pop()
             end = steps[-1].to_zone
-            found[start][end].add(DevicePath(steps))
+            found.setdefault((start, end), set()).add(DevicePath(steps))
             if not transitive[end]:
                 continue
             for dev in by_from.get(end, ()):
@@ -209,13 +198,6 @@ def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:
                     )
                 )
 
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(ONE)
-            else:
-                row.append(PathSet(frozenset(found[i][j])))
-        rows.append(tuple(row))
-    return PathMatrix(tuple(rows))
+    return PathMatrix.build(
+        n, lambda i, j: ONE if i == j else PathSet(frozenset(found.get((i, j), ())))
+    )

@@ -178,6 +178,22 @@ def map_rules(
     return assignments, unreachable
 
 
+def require_reachable(mapped: tuple[list, list[PolicyRule]]) -> list[DeviceAssignment]:
+    """map_rules' assignments; raises UnreachablePair for its first unreachable rule."""
+    assignments, unreachable = mapped
+    if unreachable:
+        first = unreachable[0]
+        raise UnreachablePair(first.src, first.dst, first.context.value)
+    return assignments
+
+
+def _check_context(ctx: PolicyContext, task: str, rules: Iterable[PolicyRule], kind="rule"):
+    """Raise ContextMismatch for the first of rules (the rules of kind) not of ctx."""
+    for rule in rules:
+        if rule.context is not ctx:
+            raise ContextMismatch(f"{rule.context.value} {kind} passed to {ctx.value} {task}")
+
+
 def map_policy(
     ctx: PolicyContext,
     rules: Sequence[PolicyRule],
@@ -191,18 +207,9 @@ def map_policy(
     Checks every rule's context before mapping any, and raises UnreachablePair
     for the first unreachable rule.  The result is sorted by sort_key.
     """
-    for rule in rules:
-        if rule.context is not ctx:
-            raise ContextMismatch(
-                f"{rule.context.value} rule passed to {ctx.value} mapping"
-            )
-    assignments, unreachable = map_rules(
-        rules, astar, model, convention, measurement_strategy
-    )
-    if unreachable:
-        first = unreachable[0]
-        raise UnreachablePair(first.src, first.dst, first.context.value)
-    return sorted(assignments, key=DeviceAssignment.sort_key)
+    _check_context(ctx, "mapping", rules)
+    mapped = map_rules(rules, astar, model, convention, measurement_strategy)
+    return sorted(require_reachable(mapped), key=DeviceAssignment.sort_key)
 
 
 Realizers = dict[tuple[str, str, Direction], list[DirectedDevice]]
@@ -239,21 +246,11 @@ def verify_assignments(
     existing: Sequence[DeviceAssignment],
 ) -> VerificationReport:
     """Audit existing assignments of one context against the intended rules."""
-    intended: dict[tuple[str, str], PolicyRule] = {}
-    for rule in rules:
-        if rule.context is not ctx:
-            raise ContextMismatch(
-                f"{rule.context.value} rule passed to {ctx.value} verification"
-            )
-        intended[(rule.src, rule.dst)] = rule
-
+    _check_context(ctx, "verification", rules)
+    _check_context(ctx, "verification", (a.rule for a in existing), "assignment")
+    intended = {(rule.src, rule.dst): rule for rule in rules}
     by_pair: dict[tuple[str, str], list[DeviceAssignment]] = {}
     for assignment in existing:
-        if assignment.rule.context is not ctx:
-            raise ContextMismatch(
-                f"{assignment.rule.context.value} assignment passed to "
-                f"{ctx.value} verification"
-            )
         by_pair.setdefault((assignment.rule.src, assignment.rule.dst), []).append(
             assignment
         )

@@ -295,30 +295,16 @@ def build_model(
 
 def adjacency_matrix(model: ZoneConduitModel) -> PathMatrix:
     """Single-step path matrix: ONE on the diagonal, conduit devices elsewhere."""
-    n = model.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(ONE)
-            else:
-                devs = model.conduits.get((i, j))
-                if devs:
-                    row.append(PathSet(frozenset(DevicePath((t,)) for t in devs)))
-                else:
-                    row.append(ZERO)
-        rows.append(tuple(row))
-    return PathMatrix(tuple(rows))
+    return PathMatrix.build(
+        model.n,
+        lambda i, j: ONE if i == j else PathSet(
+            frozenset(DevicePath((t,)) for t in model.conduits.get((i, j), ()))
+        ),
+    )
 
 
 def transitivity_matrix(model: ZoneConduitModel) -> PathMatrix:
     """Diagonal matrix marking which zones may carry through-traffic."""
-    n = model.n
-    rows = []
-    for i in range(n):
-        row = [ZERO] * n
-        if model.zones[i].transitive:
-            row[i] = ONE
-        rows.append(tuple(row))
-    return PathMatrix(tuple(rows))
+    return PathMatrix.build(
+        model.n, lambda i, j: ONE if i == j and model.zones[i].transitive else ZERO
+    )

@@ -109,12 +109,11 @@ def foreign_zone_matrix():
             (DirectedDevice(PhysicalDevice(name, ("e0", "e1")), i, j, "e0", "e1"),)
         )
 
-    return PathMatrix(
-        (
-            (ONE, PathSet.of(step("X", 1, 2), step("Z", 3, 4))),
-            (PathSet.of(step("Y", 2, 3)), ONE),
-        )
+    rows = (
+        (ONE, PathSet.of(step("X", 1, 2), step("Z", 3, 4))),
+        (PathSet.of(step("Y", 2, 3)), ONE),
     )
+    return PathMatrix.build(2, lambda i, j: rows[i][j])
 
 
 class TestRightIterate:
@@ -148,7 +147,7 @@ class TestRightIterate:
 
     def test_bad_adjacency_diagonal_rejected(self, diamond_model):
         _, t = am_tm(diamond_model)
-        off = PathMatrix(tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
+        off = PathMatrix.build(4, lambda i, j: ZERO)
         with pytest.raises(ValueError, match="diagonal"):
             right_iterate(off, t)
 
@@ -159,12 +158,7 @@ class TestRightIterate:
 
     def test_transitivity_diagonal_must_be_one_or_zero(self, diamond_model):
         a, _ = am_tm(diamond_model)
-        odd = PathMatrix(
-            tuple(
-                tuple(a.cell(0, 1) if i == j == 0 else ZERO for j in range(4))
-                for i in range(4)
-            )
-        )
+        odd = PathMatrix.build(4, lambda i, j: a.cell(0, 1) if i == j == 0 else ZERO)
         with pytest.raises(ValueError, match="neither ONE nor ZERO"):
             right_iterate(a, odd)
 
