@@ -138,6 +138,11 @@ def cmd_paths(args) -> int:
 
 
 def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> NetworkTopology:
+    """The topology without the named firewalls' links.
+
+    A firewall with no links yields no directed device; its node stays, so
+    under --firewall-zones its management zone stays too, with no device.
+    """
     by_name = {n.name: n for n in topology.firewalls()}
     dropped_node_ids = set()
     for device_id in device_ids:
@@ -145,10 +150,8 @@ def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> Netwo
         if node is None:
             raise UnknownDevice(f"no firewall named {device_id!r} in the topology")
         dropped_node_ids.add(node.node_id)
-    return NetworkTopology(
-        nodes=tuple(n for n in topology.nodes if n.node_id not in dropped_node_ids),
-        links=tuple(l for l in topology.links if l.firewall not in dropped_node_ids),
-    )
+    links = tuple(l for l in topology.links if l.firewall not in dropped_node_ids)
+    return NetworkTopology(topology.nodes, links)
 
 
 def cmd_whatif(args) -> int:

@@ -11,10 +11,11 @@ import policymap
 from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
-from policymap.policy import parse_policy
+from policymap.mapper import map_rules
+from policymap.policy import PolicyRule, SecurityValue, ServiceSet, parse_policy
 from policymap.topology import adjacency_matrix, build_model, load_topology
 
-from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, data_path
+from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, data_path
 from modelgen import random_topology
 
 DIAMOND = str(data_path("diamond.graphml"))
@@ -319,6 +320,54 @@ class TestFirewallZones:
         assert code == 0
         doc = json.loads(out)
         assert [e["device"] for e in doc["assignments"]] == ["A", "B", "C"]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_dropped_firewall_zone_becomes_unreachable(self, capsys, tmp_path, fmt):
+        # A's management zone stays, with no link, so the rule to it is
+        # reported as now unreachable rather than naming an unknown zone.
+        policy = tmp_path / "mgmt.policy"
+        policy.write_text(
+            "".join(f"zone Z{k} transitive\n" for k in range(1, 5))
+            + "security Z1 -> fwz-A : tcp/22\n"
+        )
+        code, out, err = run(
+            capsys, "whatif", DIAMOND, str(policy), "--firewall-zones",
+            "--drop-device", "A", "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "text":
+            assert out.splitlines()[-1] == "! now unreachable: security Z1 -> fwz-A"
+        else:
+            doc = json.loads(out)
+            assert doc["new_unreachable"] == [
+                {"context": "security", "src": "Z1", "dst": "fwz-A"}
+            ]
+            assert [e["device"] for e in doc["removed"]] == list("AABCDEFG")
+
+    def test_dropped_firewall_keeps_an_isolated_zone(self):
+        # Each draw drops each of its firewalls in turn: 410 drops in all.
+        rng = random.Random(0xF2)
+        ssh = SecurityValue(ServiceSet.from_ranges([("tcp", 22, 22)]))
+        drops = 0
+        for _ in range(60):
+            topology, names = random_topology(rng)
+            transitivity = {name: rng.random() < 0.6 for name in names}
+            for firewall in topology.firewalls():
+                fwz = "fwz-" + firewall.name
+                model = build_model(
+                    _drop_devices(topology, [firewall.name]), transitivity,
+                    add_firewall_zones=True,
+                )
+                assert fwz in [zone.name for zone in model.zones]
+                assert all(
+                    dev.device_id != firewall.name
+                    for devs in model.conduits.values()
+                    for dev in devs
+                )
+                rule = PolicyRule(rng.choice(names), fwz, ssh)
+                assert map_rules([rule], closure_of(model), model) == ([], [rule])
+                drops += 1
+        assert drops == 410
 
     def test_management_zone_unknown_without_flag(self, capsys, tmp_path):
         policy = tmp_path / "mgmt.policy"
