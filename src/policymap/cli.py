@@ -116,13 +116,18 @@ def cmd_verify(args) -> int:
         lambda path: documents.load_assignments(Path(path).read_text(encoding="utf-8")),
     )
 
-    report = documents.merge_reports([
-        verify_assignments(
-            ctx, policy_doc.rules_for(ctx), astar, model,
-            [a for a in existing if a.rule.context is ctx],
+    reports = []
+    for ctx in PolicyContext:
+        reports.append(
+            verify_assignments(
+                ctx,
+                policy_doc.rules_for(ctx),
+                astar,
+                model,
+                [a for a in existing if a.rule.context is ctx],
+            )
         )
-        for ctx in PolicyContext
-    ])
+    report = documents.merge_reports(reports)
     document = documents.verify_document(report)
     _emit(_render(document, documents.render_verify_text, args.format), args.out)
     return 0 if report.clean else 3
@@ -138,11 +143,8 @@ def cmd_paths(args) -> int:
 
 
 def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> NetworkTopology:
-    """The topology without the named firewalls' links.
-
-    A firewall with no links yields no directed device; its node stays, so
-    under --firewall-zones its management zone stays too, with no device.
-    """
+    """The topology without the named firewalls' links.  Their nodes stay, so
+    each keeps its --firewall-zones management zone, with no device attached."""
     by_name = {n.name: n for n in topology.firewalls()}
     dropped_node_ids = set()
     for device_id in device_ids:
@@ -165,8 +167,10 @@ def cmd_whatif(args) -> int:
 
     before = mapped(topology, policy_doc.transitivity)
     changed_transitivity = dict(policy_doc.transitivity)
-    changed_transitivity.update(dict.fromkeys(args.set_transitive, True))
-    changed_transitivity.update(dict.fromkeys(args.set_non_transitive, False))
+    for zone in args.set_transitive:
+        changed_transitivity[zone] = True
+    for zone in args.set_non_transitive:
+        changed_transitivity[zone] = False
     after = mapped(_drop_devices(topology, args.drop_device), changed_transitivity)
     document = documents.diff_document(*before, *after)
     _emit(_render(document, documents.render_diff_text, args.format), args.out)

@@ -188,7 +188,7 @@ def require_reachable(mapped: tuple[list, list[PolicyRule]]) -> list[DeviceAssig
 
 
 def _check_context(ctx: PolicyContext, task: str, rules: Iterable[PolicyRule], kind="rule"):
-    """Raise ContextMismatch for the first of rules (the rules of kind) not of ctx."""
+    """Raise ContextMismatch for the first rule not of ctx; kind and task name it in the message."""
     for rule in rules:
         if rule.context is not ctx:
             raise ContextMismatch(f"{rule.context.value} {kind} passed to {ctx.value} {task}")

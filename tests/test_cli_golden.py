@@ -31,7 +31,9 @@ from policymap.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
-POLICIES = ("diamond_mixed.policy", "diamond_ssh.policy", "diamond_ssh_z4closed.policy", "empty.policy")
+POLICIES = (
+    "diamond_mixed.policy", "diamond_ssh.policy", "diamond_ssh_z4closed.policy", "empty.policy"
+)
 # Z1-Z3 and Z2-Z4 need a transitive zone that this policy leaves closed.
 UNREACHABLE = (
     "zone Z4 non-transitive\n"
