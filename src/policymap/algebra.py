@@ -265,10 +265,10 @@ class PathMatrix:
     PathMatrix(rows) takes rows[i][j], the steps of cell (i, j)'s distinct
     valid paths, as right_iterate builds them; PathMatrix.build(n, cell)
     takes a PathSet for each cell.  cell(i, j) builds its PathSet, each
-    path checked by DevicePath, on first request.  sorted_steps (canonical
-    order) and occurrences (the directed devices on the paths) build no
-    path object.  Each is built once per cell; readers racing on a cell
-    build equal values.
+    path checked by DevicePath, on first request.  steps(i, j) gives the
+    stored step tuples, in no promised order, and occurrences the directed
+    devices on the paths; neither builds a path object.  Each cache entry
+    is built once per cell; readers racing on a cell build equal values.
     """
 
     def __init__(self, rows: Sequence[Sequence[Sequence[Steps]]]):
@@ -298,8 +298,8 @@ class PathMatrix:
     def cell(self, i: int, j: int) -> PathSet:
         return self._build("cell", i, j, lambda paths: PathSet(frozenset(map(DevicePath, paths))))
 
-    def sorted_steps(self, i: int, j: int) -> tuple[Steps, ...]:
-        return self._build("sorted", i, j, lambda paths: tuple(sorted(paths, key=steps_key)))
+    def steps(self, i: int, j: int) -> Sequence[Steps]:
+        return self._steps[i][j]
 
     def occurrences(self, i: int, j: int) -> frozenset[DirectedDevice]:
         return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))

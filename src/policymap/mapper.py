@@ -169,7 +169,7 @@ def map_rules(
         if rule.context is PolicyContext.MEASUREMENT and (
             measurement_strategy is MeasurementStrategy.FIRST
         ):
-            targets = {steps[0] for steps in astar.sorted_steps(i, j)}
+            targets = {steps[0] for steps in astar.steps(i, j)}
         placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
         assignments.extend(
             DeviceAssignment(device_id, interface, direction, rule)
@@ -271,7 +271,7 @@ def verify_assignments(
     overprovisioned = []
     default = _absent_device_default(ctx)
     for (src, dst), (i, j) in zones.items():
-        paths = astar.sorted_steps(i, j)
+        paths = astar.steps(i, j)
         if not paths:
             # Unreachable pair: nothing flows, so nothing to compare; any
             # assignments here were already flagged incorrect-firewall.

@@ -27,8 +27,9 @@ serial composition is idempotent and commutative in all three contexts,
 so a path's value depends only on the set of distinct device values
 along it; parallel composition is idempotent for security and
 measurement, so a repeated set adds nothing there, while the qos sum
-keeps every path's share.  Paths are walked in canonical order, so an error is
-the one, with the message, that a path-by-path fold would raise first.
+keeps every path's share.  Parallel composition commutes, so paths come in
+any order; an error is taken from a second fold in canonical order: the
+one, with the message, that a path-by-path fold would raise first.
 
 Policy files are line-oriented ('#' starts a comment):
 
@@ -54,12 +55,13 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-from .algebra import DirectedDevice, PathSet, Steps
+from .algebra import DirectedDevice, PathSet, Steps, steps_key
 from .errors import (
     ContextMismatch,
     EmptyPathSet,
     MissingDevicePolicy,
     PolicyParseError,
+    PolicymapError,
     UnprintableValue,
 )
 
@@ -273,32 +275,40 @@ def derive_end_to_end(
     path.  The empty path contributes the serial identity.  ``paths``
     must be nonempty (an empty set means the pair is unreachable) and
     ``device_policies`` must cover every device appearing in it.  This is
-    fold_end_to_end over the paths' steps in canonical order.
+    fold_end_to_end over the paths' steps.
     """
-    return fold_end_to_end(ctx, device_policies, [p.steps for p in paths.sorted_paths()])
+    return fold_end_to_end(ctx, device_policies, [p.steps for p in paths])
 
 
 def fold_end_to_end(
     ctx: PolicyContext,
     device_policies: Mapping[DirectedDevice, PolicyValue],
-    sorted_steps: Sequence[Steps],
+    paths: Sequence[Steps],
 ) -> PolicyValue:
-    """derive_end_to_end over paths given as step tuples in canonical order.
+    """derive_end_to_end over paths given as step tuples, in any order.  On an
+    error they are folded again in canonical order, and that error is raised."""
+    try:
+        return _fold(ctx, device_policies, paths)
+    except PolicymapError:
+        pass
+    return _fold(ctx, device_policies, sorted(paths, key=steps_key))
 
-    Each distinct device value gets one bit and a path's key is the OR of
-    its steps' bits.  Each key is folded once; for security and
-    measurement a key met again is skipped, while qos adds every path
-    (the module docstring says why this is exact).  A path's devices are
-    looked up before its fold, as in the path-by-path fold, so errors
-    come in the same order.
+
+def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Steps]) -> PolicyValue:
+    """The fold, paths in the given order.  Each distinct device value gets
+    one bit and a path's key is the OR of its steps' bits.  Each key is
+    folded once; for security and measurement a key met again is skipped,
+    while qos adds every path (the module docstring says why this is
+    exact).  A path's devices are looked up before its fold, as in the
+    path-by-path fold, so errors come in the same order.
     """
-    if not sorted_steps:
+    if not paths:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
     bits: dict[DirectedDevice, int] = {}
     classes: dict[PolicyValue, int] = {}
     serial: dict[int, PolicyValue] = {}
     derived = None
-    for steps in sorted_steps:
+    for steps in paths:
         key = 0
         for step in steps:
             bit = bits.get(step)

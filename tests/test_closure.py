@@ -11,6 +11,7 @@ from policymap.algebra import (
     PathMatrix,
     PathSet,
     PhysicalDevice,
+    steps_key,
 )
 from policymap.closure import (
     brute_force_paths,
@@ -303,7 +304,7 @@ class TestCompactCells:
             for i in range(model.n):
                 for j in range(model.n):
                     cell = oracle.cell(i, j)
-                    assert list(closure.sorted_steps(i, j)) == [
+                    assert sorted(closure.steps(i, j), key=steps_key) == [
                         p.steps for p in cell.sorted_paths()
                     ]
                     assert closure.occurrences(i, j) == {s for p in cell for s in p.steps}

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from policymap.algebra import (
@@ -36,6 +36,7 @@ from policymap.policy import (
     compose_serial,
     context_of,
     derive_end_to_end,
+    fold_end_to_end,
     parallel_identity,
     parse_policy,
     parse_services,
@@ -520,6 +521,49 @@ class TestGroupedDerivation:
         # Enough cells, with repeated value classes and with errors.
         assert compared > 3000 and grouped > 1000 and raised > 500
 
+
+
+# Two physical devices per unordered pair of four zones: an elementary zone
+# sequence, with either device on each hop, is always a valid path.
+_LINKS = {
+    (a, b): [PhysicalDevice(f"{name}{a}{b}", ("e0", "e1")) for name in "PQ"]
+    for a in range(4)
+    for b in range(a + 1, 4)
+}
+
+
+@st.composite
+def _path_sets(draw):
+    """A nonempty set of valid paths between any zones, at times with EPSILON."""
+    paths = set()
+    for _ in range(draw(st.integers(1, 6))):
+        zones = draw(st.permutations(range(4)))[: draw(st.integers(1, 4))]
+        paths.add(DevicePath(tuple(
+            DirectedDevice(_LINKS[min(a, b), max(a, b)][draw(st.integers(0, 1))], a, b, "e0", "e1")
+            for a, b in zip(zones, zones[1:])
+        )))
+    return PathSet(frozenset(paths))
+
+
+class TestAnyOrderFold:
+    """fold_end_to_end takes paths in any order; with its canonical retry it
+    equals the canonical path-by-path fold, value or error type and message."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_path_by_path_fold(self, data):
+        ctx = data.draw(st.sampled_from(list(PolicyContext)))
+        paths = data.draw(_path_sets())
+        devices = sorted({d for p in paths for d in p.steps}, key=DirectedDevice.text)
+        pool = _POOLS[ctx] + [QosValue(Fraction(20), DNS)] * (ctx is PolicyContext.QOS)
+        if data.draw(st.booleans()):
+            pool = pool + [v for values in _POOLS.values() for v in values]
+        policies = {d: data.draw(st.sampled_from(pool)) for d in devices}
+        if devices and data.draw(st.integers(0, 3)) == 0:
+            del policies[data.draw(st.sampled_from(devices))]
+        order = data.draw(st.permutations([p.steps for p in paths]))
+        expected = _outcome(literal_end_to_end, ctx, policies, paths)
+        assert _outcome(fold_end_to_end, ctx, policies, order) == expected
 
 class TestPolicyParser:
     def test_full_document(self):
