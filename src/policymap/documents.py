@@ -11,7 +11,9 @@ by policy.py, in the policy file's grammar; this module has no value syntax.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import AssignmentsError
 from .mapper import (
@@ -24,7 +26,8 @@ from .mapper import (
 from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value_to_text
 
 
-def assignment_to_dict(assignment: DeviceAssignment) -> dict:
+def assignment_to_dict(assignment: DeviceAssignment, value_text: str | None = None) -> dict:
+    """assignment's entry; value_text, if given, is its rule value's text."""
     rule = assignment.rule
     return {
         "device": assignment.device_id,
@@ -33,8 +36,15 @@ def assignment_to_dict(assignment: DeviceAssignment) -> dict:
         "context": rule.context.value,
         "src": rule.src,
         "dst": rule.dst,
-        "value": value_to_text(rule.value),
+        "value": value_to_text(rule.value) if value_text is None else value_text,
     }
+
+
+def _value_texts(assignments: Iterable[DeviceAssignment]) -> Iterator[str]:
+    """Each assignment's value text, printed once per run of equal values."""
+    for value, run in groupby(assignment.rule.value for assignment in assignments):
+        text = value_to_text(value)
+        yield from (text for _ in run)
 
 
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
@@ -45,45 +55,45 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
 
 
 def _assignment_from_dict(entry: dict, values: dict) -> DeviceAssignment:
-    if not isinstance(entry, dict) or not all(isinstance(entry.get(f), str) for f in _FIELDS):
-        raise AssignmentsError(f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}")
+    fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:
-        for field in _FIELDS:
-            # A lone surrogate from a \ud800 escape could not be printed back.
-            entry[field].encode("utf-8")
-        context = PolicyContext(entry["context"])
-        key = (context, entry["value"])
-        if key not in values:
-            values[key] = value_from_text(context, entry["value"])
-        rule = PolicyRule(entry["src"], entry["dst"], values[key])
-        return DeviceAssignment(
-            entry["device"], entry["interface"], Direction(entry["direction"]), rule
-        )
+        # One check for the usual entry: only strings (else TypeError), all ASCII.
+        if not "".join(fields).isascii():
+            for field in fields:
+                # A lone surrogate from a \ud800 escape could not be printed back.
+                field.encode("utf-8")
+        device, interface, direction, context, src, dst, value = fields
+        if (context, value) not in values:
+            values[context, value] = value_from_text(PolicyContext(context), value)
+        rule = PolicyRule(src, dst, values[context, value])
+        return DeviceAssignment(device, interface, Direction(direction), rule)
+    except TypeError:
+        raise AssignmentsError(
+            f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
+        ) from None
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
 
-def _rule_line(entry: dict) -> str:
-    return rule_line(PolicyContext(entry["context"]), entry["src"], entry["dst"], entry["value"])
-
-
 def _entries(assignments) -> list[dict]:
-    return [assignment_to_dict(a) for a in sorted(assignments, key=DeviceAssignment.sort_key)]
+    ordered = sorted(assignments, key=DeviceAssignment.sort_key)
+    return list(map(assignment_to_dict, ordered, _value_texts(ordered)))
 
 
 def map_document(assignments: Sequence[DeviceAssignment]) -> dict:
     """The policy-to-device map: a flat table plus the per-device tree."""
     flat = _entries(assignments)
     tree: dict = {}
-    for entry in flat:
-        rules = (
-            tree.setdefault(entry["device"], {})
-            .setdefault(entry["interface"], {})
-            .setdefault(entry["direction"], [])
-        )
-        line = _rule_line(entry)
-        if line not in rules:
-            rules.append(line)
+    for rule, run in groupby(flat, key=itemgetter("context", "src", "dst", "value")):
+        line = rule_line(PolicyContext(rule[0]), *rule[1:])
+        for entry in run:
+            rules = (
+                tree.setdefault(entry["device"], {})
+                .setdefault(entry["interface"], {})
+                .setdefault(entry["direction"], [])
+            )
+            if line not in rules:
+                rules.append(line)
     for device in tree.values():
         for interface in device.values():
             for lines in interface.values():
@@ -112,8 +122,8 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
     return [_assignment_from_dict(entry, values) for entry in entries]
 
 
-def finding_to_dict(finding: AssignmentFinding) -> dict:
-    entry = assignment_to_dict(finding.assignment)
+def finding_to_dict(finding: AssignmentFinding, value_text: str | None = None) -> dict:
+    entry = assignment_to_dict(finding.assignment, value_text)
     entry["classification"] = finding.classification.value
     return entry
 
@@ -129,10 +139,8 @@ def delta_to_dict(delta: PolicyDelta) -> dict:
 
 
 def verify_document(report: VerificationReport) -> dict:
-    findings = [
-        finding_to_dict(f)
-        for f in sorted(report.findings, key=lambda f: f.assignment.sort_key())
-    ]
+    ordered = sorted(report.findings, key=lambda f: f.assignment.sort_key())
+    findings = list(map(finding_to_dict, ordered, _value_texts(f.assignment for f in ordered)))
     delta_key = lambda e: (e["context"], e["src"], e["dst"])
     return {
         "clean": report.clean,
@@ -176,7 +184,44 @@ def diff_document(
 
 
 def to_json(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+    byte for byte, for dicts with str keys, lists, strs, bools and ints (else
+    TypeError), without the pure-Python encoder that indent= always selects."""
+    chunks: list[str] = []
+    _write(document, "\n", chunks.append)
+    return "".join(chunks) + "\n"
+
+
+_quote = json.encoder.encode_basestring  # C-backed; TypeError for a key that is not a str
+
+
+def _write(value, newline: str, out) -> None:
+    """Pass value's JSON to out in pieces; newline starts a line at value's indentation."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif isinstance(value, bool):
+        out("true" if value else "false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            out(f"{sep}{inner}{_quote(key)}: ")
+            item, sep = value[key], ","
+            if type(item) is str:
+                out(_quote(item))
+            else:
+                _write(item, inner, out)
+        out(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out(newline + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _table(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> str:
@@ -245,7 +290,7 @@ def render_diff_text(document: dict) -> str:
         for e in entries:
             lines.append(
                 f"{sign} {e['device']}/{e['interface']}/{e['direction']}  "
-                f"{_rule_line(e)}"
+                + rule_line(PolicyContext(e["context"]), e["src"], e["dst"], e["value"])
             )
     for e in document["new_unreachable"]:
         lines.append(f"! now unreachable: {e['context']} {e['src']} -> {e['dst']}")

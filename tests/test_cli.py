@@ -42,6 +42,29 @@ class TestMap:
             "security Z1 -> Z3 : tcp/22"
         ]
 
+    def test_structured_map_of_unusual_names(self, capsys, tmp_path):
+        # Non-ASCII names, quotes and backslashes must be escaped as json.dumps does.
+        renames = {">Z1<": ">Zürich<", ">Z3<": '>Z"3\\<', ">A<": ">Å<", ">C<": '>C"\\<',
+                   ">e0<": ">eth-é<"}
+        topology = Path(DIAMOND).read_text(encoding="utf-8")
+        for old, new in renames.items():
+            topology = topology.replace(old, new)
+        (tmp_path / "net.graphml").write_text(topology, encoding="utf-8")
+        (tmp_path / "net.policy").write_text(
+            "".join(f"zone {z} transitive\n" for z in ("Zürich", "Z2", 'Z"3\\', "Z4"))
+            + 'security Zürich -> Z"3\\ : tcp/22\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(
+            capsys, "map", str(tmp_path / "net.graphml"), str(tmp_path / "net.policy"),
+            "--format", "structured",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert {"Å", 'C"\\'} <= {e["device"] for e in doc["assignments"]}
+        assert doc["by_device"]["Å"]["eth-é"]["inbound"] == ['security Zürich -> Z"3\\ : tcp/22']
+
     def test_text_map(self, capsys):
         code, out, _ = run(capsys, "map", DIAMOND, POLICY)
         assert code == 0

@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policymap import documents
 from policymap.documents import (
@@ -195,3 +197,33 @@ class TestVerifyDocument:
         }
         assert "measure Z2 -> Z4 : collect tcp/22" in lines
         assert set(parse_policy("\n".join(sorted(lines))).rules) == set(rules)
+
+
+# Any code point, lone surrogates included, weighted towards the ones a
+# JSON writer must escape or must leave alone.
+_TEXT = st.text(
+    st.sampled_from('"\\/\n\t\x00\x1f\x7f\u2028éZ\ud800\U0001f600')
+    | st.characters(blacklist_categories=()),
+    max_size=8,
+)
+_DOCUMENTS = st.recursive(
+    st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestToJson:
+    """to_json writes what json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False) writes, plus a newline."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(_TEXT, _DOCUMENTS, max_size=4))
+    def test_equals_json_dumps(self, document):
+        expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert documents.to_json(document) == expected
+
+    @pytest.mark.parametrize("value", [1.5, None, (1,), {1: "a"}, {"a": {"b": [object()]}}])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            documents.to_json({"a": value})
