@@ -134,6 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_paths(args) -> int:
+    if args.format == "structured":
+        raise _Failure("paths has text output only; --format structured is not supported")
     topology, policy_doc = _read_inputs(args)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
     i = model.zone_index(args.src)

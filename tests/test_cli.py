@@ -268,6 +268,11 @@ class TestPaths:
         assert code == 0
         assert out.strip() == "{ε}"
 
+    def test_structured_format_rejected(self, capsys):
+        code, out, err = run(capsys, "paths", DIAMOND, POLICY, "Z1", "Z3", "--format", "structured")
+        assert code == 1 and out == ""
+        assert err == "error: paths has text output only; --format structured is not supported\n"
+
     def test_unknown_zone(self, capsys):
         code, _, err = run(capsys, "paths", DIAMOND, POLICY, "Z1", "Z9")
         assert code == 1
@@ -526,7 +531,6 @@ class TestDeterminism:
             ("verify", *net, "--format", "structured", "{map}"),
             ("whatif", *reach, "--format", "structured"),
             ("whatif", *reach, "--format", "text"),
-            ("paths", *net, "--format", "structured", *busiest_names),
             ("paths", *net, "--format", "text", *busiest_names),
             ("verify", *net, "--format", "structured", "{short}"),
             ("verify", *net, "--format", "text", "{short}"),
@@ -565,7 +569,7 @@ class TestDeterminism:
         changed = json.loads(first[5])
         assert len(changed["new_unreachable"]) == len(changed["resolved_unreachable"]) == 6
         assert first[7].count(b", ") == len(closure.cell(*busiest)) - 1
-        short = json.loads(first[9])
+        short = json.loads(first[8])
         assert short["counts"]["correct"] == len(json.loads(first[0])["assignments"])
         assert {d["context"] for d in short["policy_deltas"]} == {"qos"}
         assert first == outputs("2")
