@@ -57,20 +57,21 @@ def assignment_from_dict(entry: dict) -> DeviceAssignment:
 def _assignment_from_dict(entry: dict, values: dict) -> DeviceAssignment:
     fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:
-        # One check for the usual entry: only strings (else TypeError), all ASCII.
-        if not "".join(fields).isascii():
+        is_ascii = "".join(fields).isascii()
+    except TypeError:  # a field is missing or not a string
+        raise AssignmentsError(
+            f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
+        ) from None
+    device, interface, direction, context, src, dst, value = fields
+    try:
+        if not is_ascii:
             for field in fields:
                 # A lone surrogate from a \ud800 escape could not be printed back.
                 field.encode("utf-8")
-        device, interface, direction, context, src, dst, value = fields
         if (context, value) not in values:
             values[context, value] = value_from_text(PolicyContext(context), value)
         rule = PolicyRule(src, dst, values[context, value])
         return DeviceAssignment(device, interface, Direction(direction), rule)
-    except TypeError:
-        raise AssignmentsError(
-            f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
-        ) from None
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
@@ -184,12 +185,12 @@ def diff_document(
 
 
 def to_json(document: dict) -> str:
-    """json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-    byte for byte, for dicts with str keys, lists, strs, bools and ints (else
-    TypeError), without the pure-Python encoder that indent= always selects."""
+    """json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n", byte for
+    byte, on dicts with str keys, lists, strs, bools and ints, without its pure-Python encoder."""
     chunks: list[str] = []
     _write(document, "\n", chunks.append)
-    return "".join(chunks) + "\n"
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 _quote = json.encoder.encode_basestring  # C-backed; TypeError for a key that is not a str
@@ -206,12 +207,13 @@ def _write(value, newline: str, out) -> None:
     elif isinstance(value, dict):
         inner, sep = newline + "  ", "{"
         for key in sorted(value):
-            out(f"{sep}{inner}{_quote(key)}: ")
-            item, sep = value[key], ","
+            item = value[key]
             if type(item) is str:
-                out(_quote(item))
+                out(f"{sep}{inner}{_quote(key)}: {_quote(item)}")
             else:
+                out(f"{sep}{inner}{_quote(key)}: ")
                 _write(item, inner, out)
+            sep = ","
         out(newline + "}" if value else "{}")
     elif isinstance(value, list):
         inner, sep = newline + "  ", "["
