@@ -19,10 +19,11 @@ rules:
 Finite sets of such paths form an idempotent semiring under set union and
 pairwise validity-checked concatenation, with ZERO the empty set and ONE
 the set holding only the empty path.  A PathMatrix is a square matrix
-of such sets indexed by zone, held as step tuples until a cell's PathSet
-is read.  All closure computation in this package is built on that
-algebra; everything here is immutable, but for a PathMatrix's idempotent
-cell caches, and safe to share between threads.
+of such sets indexed by zone.  It numbers its directed devices once, in
+canonical order, and holds each path as a tuple of those numbers until
+a cell's PathSet is read.  All closure computation in this package is
+built on that algebra; everything here is immutable, but for a
+PathMatrix's idempotent cell caches, and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -259,50 +260,90 @@ def union_sets(a: PathSet, b: PathSet) -> PathSet:
     return PathSet(a.paths | b.paths)
 
 
-class PathMatrix:
-    """Square matrix of path sets indexed by zone, held as step tuples.
+def device_key(dev: DirectedDevice):
+    """Canonical device order: by zone pair, then device id, then interfaces."""
+    return (
+        dev.from_zone,
+        dev.to_zone,
+        dev.device_id,
+        dev.ingress_interface,
+        dev.egress_interface,
+        dev.physical.interfaces,
+    )
 
-    PathMatrix(rows) takes rows[i][j], the steps of cell (i, j)'s distinct
-    valid paths, as right_iterate builds them; PathMatrix.build(n, cell)
-    takes a PathSet for each cell.  cell(i, j) builds its PathSet, each
-    path checked by DevicePath, on first request.  steps(i, j) gives the
-    stored step tuples, in no promised order, and occurrences the directed
-    devices on the paths; neither builds a path object.  Each cache entry
-    is built once per cell; readers racing on a cell build equal values.
+
+class PathMatrix:
+    """Square matrix of path sets indexed by zone, held as tuples of ints.
+
+    Each path is a tuple of indices into ``table``, the matrix's directed
+    devices in canonical order (device_key).  PathMatrix(rows, table)
+    takes rows[i][j], cell (i, j)'s distinct valid paths in that form, as
+    right_iterate builds them; PathMatrix.build(n, cell) takes a PathSet
+    for each cell and numbers their devices itself.  index_paths(i, j)
+    gives the stored int tuples, in no promised order, and
+    occurrence_indices the indices on them.  cell(i, j) builds its
+    PathSet, each path checked by DevicePath, on first request; steps and
+    occurrences map the indices back to directed devices.  Each cache
+    entry is built once per cell; readers racing on a cell build equal
+    values.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Sequence[Steps]]]):
+    def __init__(
+        self, rows: Sequence[Sequence[Sequence[tuple[int, ...]]]], table: Sequence[DirectedDevice]
+    ):
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix is not square")
-        self._steps = rows
+        self._rows = rows
+        self.table = tuple(table)
         self._built: dict = {}
 
     @classmethod
     def build(cls, n: int, cell: Callable[[int, int], PathSet]) -> "PathMatrix":
         """The n x n matrix whose cell (i, j) is cell(i, j)."""
         cells = {("cell", i, j): cell(i, j) for i in range(n) for j in range(n)}
-        matrix = cls([[[p.steps for p in cells["cell", i, j]] for j in range(n)] for i in range(n)])
+        table = sorted(
+            {step for paths in cells.values() for path in paths for step in path.steps},
+            key=device_key,
+        )
+        number = {dev: k for k, dev in enumerate(table)}
+        matrix = cls(
+            [
+                [[tuple(map(number.__getitem__, p.steps)) for p in cells["cell", i, j]]
+                 for j in range(n)]
+                for i in range(n)
+            ],
+            table,
+        )
         matrix._built.update(cells)
         return matrix
 
     def _build(self, what: str, i: int, j: int, build: Callable):
         value = self._built.get((what, i, j))
         if value is None:
-            value = self._built[what, i, j] = build(self._steps[i][j])
+            value = self._built[what, i, j] = build(self._rows[i][j])
         return value
 
     @property
     def n(self) -> int:
-        return len(self._steps)
+        return len(self._rows)
 
-    def cell(self, i: int, j: int) -> PathSet:
-        return self._build("cell", i, j, lambda paths: PathSet(frozenset(map(DevicePath, paths))))
+    def index_paths(self, i: int, j: int) -> Sequence[tuple[int, ...]]:
+        return self._rows[i][j]
 
-    def steps(self, i: int, j: int) -> Sequence[Steps]:
-        return self._steps[i][j]
+    def occurrence_indices(self, i: int, j: int) -> frozenset[int]:
+        return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))
+
+    def steps(self, i: int, j: int) -> list[Steps]:
+        table = self.table
+        return [tuple(map(table.__getitem__, path)) for path in self._rows[i][j]]
 
     def occurrences(self, i: int, j: int) -> frozenset[DirectedDevice]:
-        return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))
+        return frozenset(map(self.table.__getitem__, self.occurrence_indices(i, j)))
+
+    def cell(self, i: int, j: int) -> PathSet:
+        return self._build(
+            "cell", i, j, lambda _: PathSet(frozenset(map(DevicePath, self.steps(i, j))))
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathMatrix):

@@ -19,7 +19,8 @@ operations, each step recomputes every path it already has, and the
 iteration stops at the first fixpoint.  right_iterate, the closure the
 pipeline uses, evaluates the same recurrence semi-naively (Bancilhon
 1986): each round extends only the paths the round before found first,
-by one directed device, into the same matrix A<n-1> of step tuples.
+by one directed device, into the same matrix A<n-1>, each path a tuple
+of indices into the adjacency's table of directed devices.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -32,13 +33,12 @@ from functools import reduce
 from itertools import permutations
 
 from .algebra import (
+    EPSILON,
     ONE,
     ZERO,
     DevicePath,
-    DirectedDevice,
     PathMatrix,
     PathSet,
-    Steps,
     concat_sets,
     union_sets,
 )
@@ -108,12 +108,13 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
     each zone, and round k+1 extends the paths first found in round k
     (past round 0, only those ending in a transitive zone) by one device
     leaving their end zone (Delta<k+1> = (Delta<k> . T) . A over nonzero
-    cells).  A path's one-step-shorter prefix is unique, so no path is
-    found twice and the loop ends when a round finds nothing new.  Each
-    frontier entry carries bitmasks of the zones it visits and the
-    devices it uses, so the validity test of one extension, the loop's
-    only test, is two ``&`` operations; a cell's paths are checked again
-    as DevicePaths when its PathSet is read.  The result equals
+    cells).  A path is a tuple of indices into the adjacency's device
+    table, which the closure keeps.  A path's one-step-shorter prefix is
+    unique, so no path is found twice and the loop ends when a round finds
+    nothing new.  Each frontier entry carries bitmasks of the zones it
+    visits and the devices it uses, so the validity test of one extension,
+    the loop's only test, is two ``&`` operations; a cell's paths are
+    checked again as DevicePaths when its PathSet is read.  The result equals
     iterate(adjacency, transitivity, n-1), the paper's literal recurrence.
 
     Beyond iterate's input checks, raises ValueError unless every
@@ -129,36 +130,41 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
             raise ValueError(f"transitivity diagonal ({z}, {z}) is neither ONE nor ZERO")
         transitive.append(flag == ONE)
 
+    table = adjacency.table
     device_bit: dict[str, int] = {}
-    # Per zone: (directed device leaving it, its to-zone's bit, its physical device's bit).
-    leaving: list[list[tuple[DirectedDevice, int, int]]] = [[] for _ in range(n)]
+    # Per zone: (index of a directed device leaving it, its to-zone, that
+    # zone's bit, its physical device's bit).
+    leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for i, j in permutations(range(n), 2):
-        for path in adjacency.cell(i, j):
-            if len(path) != 1 or (path.steps[0].from_zone, path.steps[0].to_zone) != (i, j):
+        for path in adjacency.index_paths(i, j):
+            step = table[path[0]] if len(path) == 1 else None
+            if step is None or (step.from_zone, step.to_zone) != (i, j):
+                text = "".join(table[k].text() for k in path) or EPSILON.text()
                 raise ValueError(
-                    f"adjacency cell ({i}, {j}) holds {path.text()}, "
+                    f"adjacency cell ({i}, {j}) holds {text}, "
                     f"not a one-step path from {i} to {j}"
                 )
-            step = path.steps[0]
             bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
-            leaving[i].append((step, 1 << j, bit))
-    found: list[list[list[Steps]]] = [[[()] if i == j else [] for j in range(n)] for i in range(n)]
-    # Frontier entry: (start zone, end zone, steps, visited-zone mask, used-device mask).
+            leaving[i].append((path[0], j, 1 << j, bit))
+    found: list[list[list[tuple[int, ...]]]] = [
+        [[()] if i == j else [] for j in range(n)] for i in range(n)
+    ]
+    # Frontier entry: (start zone, end zone, path, visited-zone mask, used-device mask).
     frontier = [(i, i, (), 1 << i, 0) for i in range(n)]
     while frontier:
         grown = []
-        for start, end, steps, zones, devices in frontier:
+        for start, end, path, zones, devices in frontier:
             row = found[start]
-            for step, zone_bit, bit in leaving[end]:
+            for k, to, zone_bit, bit in leaving[end]:
                 if zones & zone_bit or devices & bit:
                     continue
-                path = steps + (step,)
-                row[step.to_zone].append(path)
-                if transitive[step.to_zone]:
-                    grown.append((start, step.to_zone, path, zones | zone_bit, devices | bit))
+                longer = path + (k,)
+                row[to].append(longer)
+                if transitive[to]:
+                    grown.append((start, to, longer, zones | zone_bit, devices | bit))
         frontier = grown
 
-    return PathMatrix(found)
+    return PathMatrix(found, table)
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:

@@ -141,10 +141,17 @@ class VerificationReport:
         return self.error_count == 0 and not self.deltas
 
 
-def realizations(dev: DirectedDevice) -> tuple[tuple[str, Direction], tuple[str, Direction]]:
-    """The (interface, direction) pairs that filter dev's source-to-destination
-    traffic: inbound on its ingress interface and outbound on its egress."""
-    return (dev.ingress_interface, Direction.INBOUND), (dev.egress_interface, Direction.OUTBOUND)
+Site = tuple[str, str, Direction]
+
+
+def realizations(dev: DirectedDevice) -> tuple[Site, Site]:
+    """The (device, interface, direction) sites that filter dev's
+    source-to-destination traffic: inbound on its ingress interface and
+    outbound on its egress."""
+    return (
+        (dev.device_id, dev.ingress_interface, Direction.INBOUND),
+        (dev.device_id, dev.egress_interface, Direction.OUTBOUND),
+    )
 
 
 def map_rules(
@@ -157,20 +164,21 @@ def map_rules(
     """The assignments of all rules, in no promised order, and the rules with
     no valid path, in the given order; any other error stops the walk."""
     side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
+    sites = [realizations(dev)[side] for dev in astar.table]
     assignments: list[DeviceAssignment] = []
     unreachable: list[PolicyRule] = []
     for rule in rules:
         i = model.zone_index(rule.src)
         j = model.zone_index(rule.dst)
-        targets: Iterable[DirectedDevice] = astar.occurrences(i, j)
+        targets: Iterable[int] = astar.occurrence_indices(i, j)
         if not targets:
             unreachable.append(rule)
             continue
         if rule.context is PolicyContext.MEASUREMENT and (
             measurement_strategy is MeasurementStrategy.FIRST
         ):
-            targets = {steps[0] for steps in astar.steps(i, j)}
-        placed = {(dev.device_id, *realizations(dev)[side]) for dev in targets}
+            targets = {path[0] for path in astar.index_paths(i, j)}
+        placed = {sites[k] for k in targets}
         assignments.extend(
             DeviceAssignment(device_id, interface, direction, rule)
             for device_id, interface, direction in placed
@@ -212,15 +220,16 @@ def map_policy(
     return sorted(require_reachable(mapped), key=DeviceAssignment.sort_key)
 
 
-Realizers = dict[tuple[str, str, Direction], list[DirectedDevice]]
+Realizers = dict[Site, list[int]]
 
 
-def realizer_index(occurrences: Iterable[DirectedDevice]) -> Realizers:
-    """(device, interface, direction) -> the occurrences an assignment there filters."""
+def realizer_index(sites: Sequence[tuple[Site, Site]], occurrences: Iterable[int]) -> Realizers:
+    """(device, interface, direction) -> the occurrences an assignment there
+    filters, as indices into a device table whose realizations are sites."""
     index: Realizers = {}
-    for dev in occurrences:
-        for interface, direction in realizations(dev):
-            index.setdefault((dev.device_id, interface, direction), []).append(dev)
+    for k in occurrences:
+        for site in sites[k]:
+            index.setdefault(site, []).append(k)
     return index
 
 
@@ -257,7 +266,11 @@ def verify_assignments(
 
     pairs = sorted(set(intended) | set(by_pair))
     zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
-    indexes = {pair: realizer_index(astar.occurrences(i, j)) for pair, (i, j) in zones.items()}
+    sites = list(map(realizations, astar.table))
+    # Occurrences in table order, so that device values compose, and raise,
+    # in one order whatever the hash seed.
+    occurrences = {pair: sorted(astar.occurrence_indices(i, j)) for pair, (i, j) in zones.items()}
+    indexes = {pair: realizer_index(sites, occurrences[pair]) for pair in zones}
 
     findings = [
         AssignmentFinding(
@@ -271,7 +284,7 @@ def verify_assignments(
     overprovisioned = []
     default = _absent_device_default(ctx)
     for (src, dst), (i, j) in zones.items():
-        paths = astar.steps(i, j)
+        paths = astar.index_paths(i, j)
         if not paths:
             # Unreachable pair: nothing flows, so nothing to compare; any
             # assignments here were already flagged incorrect-firewall.
@@ -279,19 +292,17 @@ def verify_assignments(
         index = indexes[(src, dst)]
         # An assignment gives an occurrence its value only if it sits where
         # that orientation's traffic actually crosses the device.
-        values: dict[DirectedDevice, list[PolicyValue]] = {
-            dev: [] for devs in index.values() for dev in devs
-        }
+        values: dict[int, list[PolicyValue]] = {k: [] for k in occurrences[(src, dst)]}
         for assignment in by_pair.get((src, dst), ()):
-            for dev in index.get(assignment.site, ()):
-                if assignment.rule.value not in values[dev]:
-                    values[dev].append(assignment.rule.value)
+            for k in index.get(assignment.site, ()):
+                if assignment.rule.value not in values[k]:
+                    values[k].append(assignment.rule.value)
         device_policies = {
-            dev: reduce(lambda p, q: compose_parallel(ctx, p, q), found) if found else default
-            for dev, found in values.items()
+            k: reduce(lambda p, q: compose_parallel(ctx, p, q), found) if found else default
+            for k, found in values.items()
         }
 
-        derived = fold_end_to_end(ctx, device_policies, paths)
+        derived = fold_end_to_end(ctx, device_policies, paths, astar.table)
         rule = intended.get((src, dst))
         wanted = rule.value if rule is not None else default
         if ctx is PolicyContext.QOS:

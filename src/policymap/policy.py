@@ -22,14 +22,17 @@ and add up across disjoint paths.
 The end-to-end value implemented by a set of device paths is the parallel
 combination over paths of the serial combination of the per-device values
 along each path.  fold_end_to_end, which derive_end_to_end wraps, folds
-it by value classes over the paths' step tuples, and that is exact:
-serial composition is idempotent and commutative in all three contexts,
-so a path's value depends only on the set of distinct device values
-along it; parallel composition is idempotent for security and
-measurement, so a repeated set adds nothing there, while the qos sum
-keeps every path's share.  Parallel composition commutes, so paths come in
-any order; an error is taken from a second fold in canonical order: the
-one, with the message, that a path-by-path fold would raise first.
+it by value classes over the paths' step tuples (or tuples of indices
+into a device table), and that is exact: serial composition is
+idempotent and commutative in all three contexts, so a path's value
+depends only on the set of distinct device values along it; parallel
+composition is idempotent for security and measurement, so a repeated
+set adds nothing there, while the qos sum of k paths in one set is k
+times that set's serial value, one multiplication (exact for Fraction;
+UNBOUNDED stays UNBOUNDED).  Parallel composition commutes, so paths
+come in any order; an error is taken from a second fold, path by path in
+canonical order: the one, with the message, that a path-by-path fold
+would raise first.
 
 Policy files are line-oriented ('#' starts a comment):
 
@@ -55,7 +58,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence, Union
 
-from .algebra import DirectedDevice, PathSet, Steps, steps_key
+from .algebra import DirectedDevice, PathSet, steps_key
 from .errors import (
     ContextMismatch,
     EmptyPathSet,
@@ -282,31 +285,45 @@ def derive_end_to_end(
 
 def fold_end_to_end(
     ctx: PolicyContext,
-    device_policies: Mapping[DirectedDevice, PolicyValue],
-    paths: Sequence[Steps],
+    device_policies: Mapping,
+    paths: Sequence[Sequence],
+    table: Sequence[DirectedDevice] | None = None,
 ) -> PolicyValue:
-    """derive_end_to_end over paths given as step tuples, in any order.  On an
-    error they are folded again in canonical order, and that error is raised."""
+    """derive_end_to_end over paths given as step tuples, in any order; with
+    ``table``, the paths are tuples of indices into it and device_policies
+    is keyed by index.  On an error the paths are folded again as step
+    tuples, path by path in canonical order, and that error is raised."""
     try:
-        return _fold(ctx, device_policies, paths)
+        return _fold(ctx, device_policies, paths, counted=True)
     except PolicymapError:
         pass
-    return _fold(ctx, device_policies, sorted(paths, key=steps_key))
+    if table is not None:
+        device_policies = {table[k]: value for k, value in device_policies.items()}
+        paths = [tuple(map(table.__getitem__, path)) for path in paths]
+    return _fold(ctx, device_policies, sorted(paths, key=steps_key), counted=False)
 
 
-def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Steps]) -> PolicyValue:
-    """The fold, paths in the given order.  Each distinct device value gets
-    one bit and a path's key is the OR of its steps' bits.  Each key is
-    folded once; for security and measurement a key met again is skipped,
-    while qos adds every path (the module docstring says why this is
-    exact).  A path's devices are looked up before its fold, as in the
-    path-by-path fold, so errors come in the same order.
+def _fold(
+    ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Sequence], counted: bool
+) -> PolicyValue:
+    """The fold, paths in the given order, over any hashable step keys.
+
+    Each distinct device value gets one bit and a path's key is the OR of
+    its steps' bits; each key's serial value is folded once, and for
+    security and measurement a key met again is skipped.  A qos key met
+    again is counted when ``counted``: the keys are then summed in the
+    order first met, each as its serial value with bandwidth x count (the
+    module docstring says why this is exact).  Otherwise every qos path is
+    added where it comes.  A path's devices are looked up before its fold,
+    so the uncounted fold raises where the path-by-path fold does.
     """
     if not paths:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
-    bits: dict[DirectedDevice, int] = {}
+    qos = ctx is PolicyContext.QOS
+    bits: dict = {}
     classes: dict[PolicyValue, int] = {}
     serial: dict[int, PolicyValue] = {}
+    counts: dict[int, int] = {}
     derived = None
     for steps in paths:
         key = 0
@@ -316,9 +333,8 @@ def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Steps]) 
                 try:
                     value = device_policies[step]
                 except KeyError:
-                    raise MissingDevicePolicy(
-                        f"no policy value for device {step.text()}"
-                    ) from None
+                    name = step.text() if isinstance(step, DirectedDevice) else step
+                    raise MissingDevicePolicy(f"no policy value for device {name}") from None
                 bit = 1 << len(bits)
                 # A value of another context keeps its device's own bit:
                 # its paths then raise in their fold, as path by path.
@@ -326,16 +342,26 @@ def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Steps]) 
                     bit = classes.setdefault(value, bit)
                 bits[step] = bit
             key |= bit
-        value = serial.get(key)
-        if value is None:
-            value = serial_identity(ctx) if not steps else reduce(
+        count = counts.get(key)
+        if count is None:
+            counts[key] = 1
+            value = serial[key] = serial_identity(ctx) if not steps else reduce(
                 lambda p, q: compose_serial(ctx, p, q),
                 [device_policies[step] for step in steps],
             )
-            serial[key] = value
-        elif ctx is not PolicyContext.QOS:
-            continue
+            if counted:
+                continue
+        else:
+            counts[key] = count + 1
+            if counted or not qos:
+                continue
+            value = serial[key]
         derived = value if derived is None else compose_parallel(ctx, derived, value)
+    if counted:
+        for key, value in serial.items():
+            if qos and counts[key] > 1:
+                value = QosValue(value.bandwidth * counts[key], value.service)
+            derived = value if derived is None else compose_parallel(ctx, derived, value)
     return derived
 
 

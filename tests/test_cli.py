@@ -474,7 +474,40 @@ def _graphml_of(topology) -> str:
     )
 
 
+def _hash_seed_env(hash_seed: str) -> dict:
+    """The environment of a CLI subprocess run under PYTHONHASHSEED hash_seed."""
+    src = str(Path(policymap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestDeterminism:
+    def test_verify_error_is_independent_of_hash_seed(self, capsys, tmp_path):
+        # Each of the seven qos placements gains a copy with another
+        # predicate, so several devices compose mixed predicates; the
+        # error must name the same device's pair under every seed.
+        _, out, _ = run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured")
+        doc = json.loads(out)
+        qos = [entry for entry in doc["assignments"] if entry["context"] == "qos"]
+        services = ("udp/53", "icmp/any", "tcp/443", "udp/5004", "tcp/25", "udp/123", "udp/53")
+        assert len(qos) == len(services)
+        doc["assignments"] += [
+            dict(entry, value=f"{service} min 50MB/s") for entry, service in zip(qos, services)
+        ]
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(doc))
+
+        def verify(hash_seed):
+            proc = subprocess.run(
+                [sys.executable, "-m", "policymap.cli", "verify", DIAMOND, POLICY_MIXED, str(mixed)],
+                capture_output=True, env=_hash_seed_env(hash_seed), timeout=120,
+            )
+            assert proc.returncode == 1 and b"ContextMismatch" in proc.stderr, proc.stderr
+            return proc.stdout, proc.stderr
+
+        assert verify("1") == verify("2")
+
     def test_output_is_independent_of_hash_seed(self, tmp_path):
         # Path sets are frozensets, iterated in an order that follows string
         # hashes; no output may depend on that order.
@@ -535,7 +568,6 @@ class TestDeterminism:
             ("verify", *net, "--format", "structured", "{short}"),
             ("verify", *net, "--format", "text", "{short}"),
         )
-        src = str(Path(policymap.__file__).resolve().parents[1])
 
         def short_of(map_json: bytes) -> bytes:
             doc = json.loads(map_json)
@@ -545,8 +577,7 @@ class TestDeterminism:
             return json.dumps(doc).encode("utf-8")
 
         def outputs(hash_seed):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env = _hash_seed_env(hash_seed)
             files = {o: tmp_path / f"{o[1:-1]}-{hash_seed}.json" for o in ("{map}", "{short}")}
             stdouts = []
             for command in commands:

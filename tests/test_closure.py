@@ -11,6 +11,7 @@ from policymap.algebra import (
     PathMatrix,
     PathSet,
     PhysicalDevice,
+    device_key,
     steps_key,
 )
 from policymap.closure import (
@@ -289,9 +290,9 @@ class TestClosureProperties:
 
 
 class TestCompactCells:
-    """The closure's step tuples, canonical order and occurrence sets, which
-    map, verify and whatif read in place of DevicePaths, agree with the
-    oracle's PathSets."""
+    """The closure's device table, step tuples, canonical order and
+    occurrence sets, which map, verify and whatif read in place of
+    DevicePaths, agree with the oracle's PathSets."""
 
     @pytest.mark.parametrize(
         "models", [random_models, whatif_variant_models, sparse_sixty_models]
@@ -301,6 +302,8 @@ class TestCompactCells:
         for model in models():
             closure = right_iterate(*am_tm(model))
             oracle = brute_force_paths(model)
+            # Both ways in number the devices in one canonical order.
+            assert closure.table == oracle.table == tuple(sorted(closure.table, key=device_key))
             for i in range(model.n):
                 for j in range(model.n):
                     cell = oracle.cell(i, j)

@@ -14,6 +14,7 @@ from policymap.algebra import (
     DirectedDevice,
     PathSet,
     PhysicalDevice,
+    device_key,
 )
 from policymap.errors import (
     ContextMismatch,
@@ -391,9 +392,9 @@ class TestDeriveEndToEnd:
             calls.clear()
             derive_end_to_end(context_of(value), {d: value for d in devices}, self.paths)
             # One serial step folds the first path's class; the second path
-            # repeats it, and only the qos sum adds it again.
-            parallel = ["compose_parallel"] if isinstance(value, QosValue) else []
-            assert calls == ["compose_serial"] + parallel
+            # repeats it: security skips it and qos counts it, so neither
+            # composes in parallel.
+            assert calls == ["compose_serial"]
 
     def test_mixed_qos_predicates_raise_as_the_path_by_path_fold(self):
         across = {d: QosValue(Fraction(30), HTTP) for d in self.upper.steps}
@@ -565,6 +566,41 @@ class TestAnyOrderFold:
         expected = _outcome(literal_end_to_end, ctx, policies, paths)
         assert _outcome(fold_end_to_end, ctx, policies, order) == expected
 
+
+_HUGE = Fraction(10**400 + 1, 3)
+_COUNTED_POOL = [
+    QosValue(UNBOUNDED, HTTP), QosValue(UNBOUNDED, None), QosValue(_HUGE, HTTP),
+    QosValue(Fraction(25, 2), HTTP), QosValue(Fraction(0), None), QosValue(_HUGE, DNS),
+    QosValue(Fraction(20), DNS), QosValue(Fraction(30), SSH),
+]
+
+
+class TestCountedFold:
+    """A qos value class met k times adds k times its serial value: equal to
+    the canonical path-by-path fold, value or error type and message, for
+    step tuples and for indices into a device table alike."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_path_by_path_fold(self, data):
+        paths = set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths |= data.draw(_path_sets()).paths
+        paths = PathSet(frozenset(paths))
+        devices = sorted({d for p in paths for d in p.steps}, key=device_key)
+        # One to three values, so that classes repeat, often up to six times.
+        pool = data.draw(st.lists(st.sampled_from(_COUNTED_POOL), min_size=1, max_size=3))
+        policies = {d: data.draw(st.sampled_from(pool)) for d in devices}
+        order = data.draw(st.permutations([p.steps for p in paths]))
+        expected = _outcome(literal_end_to_end, PolicyContext.QOS, policies, paths)
+        assert _outcome(fold_end_to_end, PolicyContext.QOS, policies, order) == expected
+        number = {d: k for k, d in enumerate(devices)}
+        indexed = {number[d]: value for d, value in policies.items()}
+        rows = [tuple(number[d] for d in steps) for steps in order]
+        assert _outcome(
+            lambda *args: fold_end_to_end(*args, devices), PolicyContext.QOS, indexed, rows
+        ) == expected
+
 class TestPolicyParser:
     def test_full_document(self):
         doc = parse_policy(
@@ -637,3 +673,4 @@ class TestPolicyParser:
     def test_rule_constructor_rejects_loop(self):
         with pytest.raises(ValueError):
             PolicyRule("Z1", "Z1", SecurityValue(SSH))
+
