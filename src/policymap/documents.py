@@ -51,10 +51,10 @@ _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
 
 def assignment_from_dict(entry: dict) -> DeviceAssignment:
-    return _assignment_from_dict(entry, {})
+    return _assignment_from_dict(entry, {}, {})
 
 
-def _assignment_from_dict(entry: dict, values: dict) -> DeviceAssignment:
+def _assignment_from_dict(entry: dict, values: dict, rules: dict) -> DeviceAssignment:
     fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:
         is_ascii = "".join(fields).isascii()
@@ -68,9 +68,11 @@ def _assignment_from_dict(entry: dict, values: dict) -> DeviceAssignment:
             for field in fields:
                 # A lone surrogate from a \ud800 escape could not be printed back.
                 field.encode("utf-8")
-        if (context, value) not in values:
-            values[context, value] = value_from_text(PolicyContext(context), value)
-        rule = PolicyRule(src, dst, values[context, value])
+        rule = rules.get((context, src, dst, value))
+        if rule is None:
+            if (context, value) not in values:
+                values[context, value] = value_from_text(PolicyContext(context), value)
+            rule = rules[context, src, dst, value] = PolicyRule(src, dst, values[context, value])
         return DeviceAssignment(device, interface, Direction(direction), rule)
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
@@ -118,9 +120,10 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
         raise AssignmentsError("expected an object or a list at top level")
     if not isinstance(entries, list):
         raise AssignmentsError("'assignments' is not a list")
-    # One file repeats few values; parse each distinct one once.
+    # One file repeats few values and rules; build each distinct one once.
     values: dict = {}
-    return [_assignment_from_dict(entry, values) for entry in entries]
+    rules: dict = {}
+    return [_assignment_from_dict(entry, values, rules) for entry in entries]
 
 
 def finding_to_dict(finding: AssignmentFinding, value_text: str | None = None) -> dict:

@@ -367,7 +367,12 @@ def _fold(
 
 @dataclass(frozen=True)
 class PolicyRule:
-    """An intended end-to-end policy between two named zones."""
+    """An intended end-to-end policy between two named zones.
+
+    Its structural hash is computed once, at construction: sets of
+    assignments hash their rules, and a value's hash walks its ServiceSet
+    or Fraction.
+    """
 
     src: str
     dst: str
@@ -376,6 +381,16 @@ class PolicyRule:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"rule with identical endpoints {self.src!r}")
+        # Not a field, so ==, repr and fields() stay structural.
+        object.__setattr__(self, "_hash", hash((self.src, self.dst, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields: a string hash differs between processes,
+        # so a pickled _hash would be stale.
+        return (PolicyRule, (self.src, self.dst, self.value))
 
     @property
     def context(self) -> PolicyContext:

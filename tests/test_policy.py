@@ -1,11 +1,18 @@
+import copy
+import os
 import random
+import subprocess
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import policymap
 from policymap.algebra import (
     EPSILON,
     ONE,
@@ -674,3 +681,55 @@ class TestPolicyParser:
         with pytest.raises(ValueError):
             PolicyRule("Z1", "Z1", SecurityValue(SSH))
 
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from policymap.policy import parse_policy
+rules = list(parse_policy(sys.argv[2]).rules)
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(rules))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    index = {rule: k for k, rule in enumerate(rules)}
+    assert loaded == rules
+    assert [index.get(rule) for rule in loaded] == list(range(len(rules)))
+    assert [hash(rule) for rule in loaded] == [hash(rule) for rule in rules]
+    print(len(loaded))
+"""
+
+
+class TestPolicyRuleHash:
+    def test_cached_hash_keeps_equality_repr_and_fields(self):
+        rule = PolicyRule("Z1", "Z3", QosValue(Fraction(25, 2), HTTP))
+        twin = PolicyRule("Z1", "Z3", QosValue(Fraction(25, 2), HTTP))
+        assert twin == rule and twin is not rule and hash(twin) == hash(rule)
+        assert rule != replace(rule, dst="Z2") and hash(replace(rule, src="Z2")) != hash(rule)
+        assert [f.name for f in fields(PolicyRule)] == ["src", "dst", "value"]
+        assert repr(rule) == (
+            "PolicyRule(src='Z1', dst='Z3', value=QosValue(bandwidth=Fraction(25, 2), "
+            "service=ServiceSet(ranges=(('tcp', 80, 80),))))"
+        )
+        for clone in (copy.copy(rule), copy.deepcopy(rule)):
+            assert clone == rule and hash(clone) == hash(rule)
+
+    def test_unpickled_rule_hashes_as_in_its_new_process(self):
+        # String hashes differ between PYTHONHASHSEEDs, so a hash carried
+        # in the pickle would miss every set of the loading process.
+        src = str(Path(policymap.__file__).resolve().parents[1])
+        policy = (
+            "security Z1 -> Z3 : tcp/22, tcp/443\n"
+            "qos Z1 -> Z3 : tcp/80 min 12.5MB/s\n"
+            "measure Z2 -> Z4 : collect udp/any\n"
+        )
+
+        def run(hash_seed, action, stdin=b""):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _PICKLE_SCRIPT, action, policy],
+                input=stdin, capture_output=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return proc.stdout
+
+        assert run("2", "load", run("1", "dump")) == b"3\n"
