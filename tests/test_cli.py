@@ -486,7 +486,7 @@ class TestDeterminism:
     def test_verify_error_is_independent_of_hash_seed(self, capsys, tmp_path):
         # Each of the seven qos placements gains a copy with another
         # predicate, so several devices compose mixed predicates; the
-        # error must name the same device's pair under every seed.
+        # error must name the same pair of predicates under every seed.
         _, out, _ = run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured")
         doc = json.loads(out)
         qos = [entry for entry in doc["assignments"] if entry["context"] == "qos"]

@@ -608,6 +608,7 @@ class TestCountedFold:
             lambda *args: fold_end_to_end(*args, devices), PolicyContext.QOS, indexed, rows
         ) == expected
 
+
 class TestPolicyParser:
     def test_full_document(self):
         doc = parse_policy(
@@ -703,7 +704,8 @@ class TestPolicyRuleHash:
         rule = PolicyRule("Z1", "Z3", QosValue(Fraction(25, 2), HTTP))
         twin = PolicyRule("Z1", "Z3", QosValue(Fraction(25, 2), HTTP))
         assert twin == rule and twin is not rule and hash(twin) == hash(rule)
-        assert rule != replace(rule, dst="Z2") and hash(replace(rule, src="Z2")) != hash(rule)
+        moved = replace(rule, src="Z2")
+        assert moved != rule and hash(moved) == hash(PolicyRule("Z2", "Z3", rule.value))
         assert [f.name for f in fields(PolicyRule)] == ["src", "dst", "value"]
         assert repr(rule) == (
             "PolicyRule(src='Z1', dst='Z3', value=QosValue(bandwidth=Fraction(25, 2), "
