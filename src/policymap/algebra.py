@@ -123,6 +123,9 @@ class DirectedDevice:
     def text(self) -> str:
         return f"{self.device_id}{zone_subscript(self.from_zone)}{zone_subscript(self.to_zone)}"
 
+    # A message naming a step prints a device as its text, a table index as is.
+    __str__ = text
+
 
 def zone_subscript(zone: int) -> str:
     """Textual subscript of a zone: its 1-based position in the zone table."""

@@ -30,9 +30,9 @@ composition is idempotent for security and measurement, so a repeated
 set adds nothing there, while the qos sum of k paths in one set is k
 times that set's serial value, one multiplication (exact for Fraction;
 UNBOUNDED stays UNBOUNDED).  Parallel composition commutes, so paths
-come in any order; an error is taken from a second fold, path by path in
-canonical order: the one, with the message, that a path-by-path fold
-would raise first.
+come in any order; an error is taken from a second fold in canonical
+order: the one, with the message, that a path-by-path fold would raise
+first.
 
 Policy files are line-oriented ('#' starts a comment):
 
@@ -292,38 +292,37 @@ def fold_end_to_end(
     """derive_end_to_end over paths given as step tuples, in any order; with
     ``table``, the paths are tuples of indices into it and device_policies
     is keyed by index.  On an error the paths are folded again as step
-    tuples, path by path in canonical order, and that error is raised."""
+    tuples in canonical order, and that error is raised."""
     try:
-        return _fold(ctx, device_policies, paths, counted=True)
+        return _fold(ctx, device_policies, paths)
     except PolicymapError:
         pass
     if table is not None:
         device_policies = {table[k]: value for k, value in device_policies.items()}
         paths = [tuple(map(table.__getitem__, path)) for path in paths]
-    return _fold(ctx, device_policies, sorted(paths, key=steps_key), counted=False)
+    return _fold(ctx, device_policies, sorted(paths, key=steps_key))
 
 
-def _fold(
-    ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Sequence], counted: bool
-) -> PolicyValue:
+def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Sequence]) -> PolicyValue:
     """The fold, paths in the given order, over any hashable step keys.
 
     Each distinct device value gets one bit and a path's key is the OR of
-    its steps' bits; each key's serial value is folded once, and for
-    security and measurement a key met again is skipped.  A qos key met
-    again is counted when ``counted``: the keys are then summed in the
-    order first met, each as its serial value with bandwidth x count (the
-    module docstring says why this is exact).  Otherwise every qos path is
-    added where it comes.  A path's devices are looked up before its fold,
-    so the uncounted fold raises where the path-by-path fold does.
+    its steps' bits.  Each key is folded once, where it is first met; for
+    security and measurement a key met again is skipped, while a qos key
+    met again is counted, and after the loop each repeated key adds its
+    serial value with bandwidth x its repeats (the module docstring says
+    why this is exact).  A repeat cannot raise where a path-by-path fold
+    would add it: its predicate has merged already, and only a
+    single-step path folds a value of another context without raising,
+    which distinct paths never repeat.  A path's devices are looked up
+    before its fold, so errors come in the path-by-path fold's order.
     """
     if not paths:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
-    qos = ctx is PolicyContext.QOS
     bits: dict = {}
     classes: dict[PolicyValue, int] = {}
     serial: dict[int, PolicyValue] = {}
-    counts: dict[int, int] = {}
+    repeats: dict[int, int] = {}
     derived = None
     for steps in paths:
         key = 0
@@ -333,8 +332,7 @@ def _fold(
                 try:
                     value = device_policies[step]
                 except KeyError:
-                    name = step.text() if isinstance(step, DirectedDevice) else step
-                    raise MissingDevicePolicy(f"no policy value for device {name}") from None
+                    raise MissingDevicePolicy(f"no policy value for device {step}") from None
                 bit = 1 << len(bits)
                 # A value of another context keeps its device's own bit:
                 # its paths then raise in their fold, as path by path.
@@ -342,26 +340,20 @@ def _fold(
                     bit = classes.setdefault(value, bit)
                 bits[step] = bit
             key |= bit
-        count = counts.get(key)
-        if count is None:
-            counts[key] = 1
-            value = serial[key] = serial_identity(ctx) if not steps else reduce(
-                lambda p, q: compose_serial(ctx, p, q),
-                [device_policies[step] for step in steps],
-            )
-            if counted:
-                continue
-        else:
-            counts[key] = count + 1
-            if counted or not qos:
-                continue
-            value = serial[key]
+        if key in serial:
+            repeats[key] = repeats.get(key, 0) + 1
+            continue
+        value = serial[key] = serial_identity(ctx) if not steps else reduce(
+            lambda p, q: compose_serial(ctx, p, q),
+            [device_policies[step] for step in steps],
+        )
         derived = value if derived is None else compose_parallel(ctx, derived, value)
-    if counted:
-        for key, value in serial.items():
-            if qos and counts[key] > 1:
-                value = QosValue(value.bandwidth * counts[key], value.service)
-            derived = value if derived is None else compose_parallel(ctx, derived, value)
+    if ctx is PolicyContext.QOS:
+        for key, count in repeats.items():
+            value = serial[key]
+            derived = compose_parallel(
+                ctx, derived, QosValue(value.bandwidth * count, value.service)
+            )
     return derived
 
 

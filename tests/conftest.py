@@ -1,7 +1,9 @@
+import os
 from pathlib import Path
 
 import pytest
 
+import policymap
 from policymap.closure import right_iterate
 from policymap.topology import (
     adjacency_matrix,
@@ -21,6 +23,14 @@ Z1_Z3_LAB_CLOSED = "{A12C23, A12D23, B12C23, B12D23}"
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def hash_seed_env(hash_seed: str) -> dict:
+    """The environment of a policymap subprocess run under PYTHONHASHSEED hash_seed."""
+    src = str(Path(policymap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import policymap
 from policymap.algebra import (
     EPSILON,
     INVALID,
@@ -23,6 +21,8 @@ from policymap.algebra import (
     concat_sets,
     union_sets,
 )
+
+from conftest import hash_seed_env
 
 # Four-zone pool mirroring the lab topology: A,B bridge zones 1-2, C,D
 # bridge 2-3, E bridges 1-4, F,G bridge 3-4 (0-indexed internally).
@@ -272,15 +272,12 @@ class TestDirectedDeviceHash:
     def test_unpickled_device_hashes_as_in_its_new_process(self):
         # String hashes differ between PYTHONHASHSEEDs, so a hash carried
         # in the pickle would miss every dict of the loading process.
-        src = str(Path(policymap.__file__).resolve().parents[1])
         graphml = str(Path(__file__).parent / "data" / "diamond.graphml")
 
         def run(hash_seed, action, stdin=b""):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             proc = subprocess.run(
                 [sys.executable, "-c", _PICKLE_SCRIPT, action, graphml],
-                input=stdin, capture_output=True, env=env, timeout=60,
+                input=stdin, capture_output=True, env=hash_seed_env(hash_seed), timeout=60,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             return proc.stdout

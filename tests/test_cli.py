@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -7,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import policymap
 from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
@@ -15,7 +13,9 @@ from policymap.mapper import map_rules
 from policymap.policy import PolicyRule, SecurityValue, ServiceSet, parse_policy
 from policymap.topology import adjacency_matrix, build_model, load_topology
 
-from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, data_path
+from conftest import (
+    Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, data_path, hash_seed_env,
+)
 from modelgen import random_topology
 
 DIAMOND = str(data_path("diamond.graphml"))
@@ -474,14 +474,6 @@ def _graphml_of(topology) -> str:
     )
 
 
-def _hash_seed_env(hash_seed: str) -> dict:
-    """The environment of a CLI subprocess run under PYTHONHASHSEED hash_seed."""
-    src = str(Path(policymap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 class TestDeterminism:
     def test_verify_error_is_independent_of_hash_seed(self, capsys, tmp_path):
         # Each of the seven qos placements gains a copy with another
@@ -501,7 +493,7 @@ class TestDeterminism:
         def verify(hash_seed):
             proc = subprocess.run(
                 [sys.executable, "-m", "policymap.cli", "verify", DIAMOND, POLICY_MIXED, str(mixed)],
-                capture_output=True, env=_hash_seed_env(hash_seed), timeout=120,
+                capture_output=True, env=hash_seed_env(hash_seed), timeout=120,
             )
             assert proc.returncode == 1 and b"ContextMismatch" in proc.stderr, proc.stderr
             return proc.stdout, proc.stderr
@@ -577,7 +569,7 @@ class TestDeterminism:
             return json.dumps(doc).encode("utf-8")
 
         def outputs(hash_seed):
-            env = _hash_seed_env(hash_seed)
+            env = hash_seed_env(hash_seed)
             files = {o: tmp_path / f"{o[1:-1]}-{hash_seed}.json" for o in ("{map}", "{short}")}
             stdouts = []
             for command in commands:

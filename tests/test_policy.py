@@ -1,18 +1,15 @@
 import copy
-import os
 import random
 import subprocess
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from functools import reduce
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import policymap
 from policymap.algebra import (
     EPSILON,
     ONE,
@@ -53,6 +50,8 @@ from policymap.policy import (
     value_from_text,
     value_to_text,
 )
+
+from conftest import hash_seed_env
 
 SSH = ServiceSet.from_ranges([("tcp", 22, 22)])
 HTTP = ServiceSet.from_ranges([("tcp", 80, 80)])
@@ -370,11 +369,16 @@ class TestDeriveEndToEnd:
             derive_end_to_end(PolicyContext.SECURITY, {}, ZERO)
 
     def test_missing_device_policy(self):
-        with pytest.raises(MissingDevicePolicy):
+        first, second = self.upper.steps
+        message = f"no policy value for device {second.text()}"
+        with pytest.raises(MissingDevicePolicy, match=message):
             derive_end_to_end(
-                PolicyContext.SECURITY,
-                {self.upper.steps[0]: SecurityValue(SSH)},
-                PathSet.of(self.upper),
+                PolicyContext.SECURITY, {first: SecurityValue(SSH)}, PathSet.of(self.upper)
+            )
+        # Over indices into a table, the message still names the device.
+        with pytest.raises(MissingDevicePolicy, match=message):
+            fold_end_to_end(
+                PolicyContext.SECURITY, {0: SecurityValue(SSH)}, [(0, 1)], [first, second]
             )
 
     def test_qos_equal_parallel_paths_count_twice(self):
@@ -399,9 +403,9 @@ class TestDeriveEndToEnd:
             calls.clear()
             derive_end_to_end(context_of(value), {d: value for d in devices}, self.paths)
             # One serial step folds the first path's class; the second path
-            # repeats it: security skips it and qos counts it, so neither
-            # composes in parallel.
-            assert calls == ["compose_serial"]
+            # repeats it, and only the qos sum adds it again.
+            parallel = ["compose_parallel"] if isinstance(value, QosValue) else []
+            assert calls == ["compose_serial"] + parallel
 
     def test_mixed_qos_predicates_raise_as_the_path_by_path_fold(self):
         across = {d: QosValue(Fraction(30), HTTP) for d in self.upper.steps}
@@ -717,7 +721,6 @@ class TestPolicyRuleHash:
     def test_unpickled_rule_hashes_as_in_its_new_process(self):
         # String hashes differ between PYTHONHASHSEEDs, so a hash carried
         # in the pickle would miss every set of the loading process.
-        src = str(Path(policymap.__file__).resolve().parents[1])
         policy = (
             "security Z1 -> Z3 : tcp/22, tcp/443\n"
             "qos Z1 -> Z3 : tcp/80 min 12.5MB/s\n"
@@ -725,11 +728,9 @@ class TestPolicyRuleHash:
         )
 
         def run(hash_seed, action, stdin=b""):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             proc = subprocess.run(
                 [sys.executable, "-c", _PICKLE_SCRIPT, action, policy],
-                input=stdin, capture_output=True, env=env, timeout=60,
+                input=stdin, capture_output=True, env=hash_seed_env(hash_seed), timeout=60,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             return proc.stdout
