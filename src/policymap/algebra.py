@@ -20,10 +20,11 @@ Finite sets of such paths form an idempotent semiring under set union and
 pairwise validity-checked concatenation, with ZERO the empty set and ONE
 the set holding only the empty path.  A PathMatrix is a square matrix
 of such sets indexed by zone.  It numbers its directed devices once, in
-canonical order, and holds each path as a tuple of those numbers until
-a cell's PathSet is read.  All closure computation in this package is
-built on that algebra; everything here is immutable, but for a
-PathMatrix's idempotent cell caches, and safe to share between threads.
+canonical order, and holds each path as a tuple of those numbers; a
+cell's PathSet, each path a checked DevicePath, is built only when read.
+All closure computation in this package is built on that algebra;
+everything here is immutable, but for a PathMatrix's idempotent cell
+caches, and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -110,16 +111,6 @@ class DirectedDevice:
     def device_id(self) -> str:
         return self.physical.device_id
 
-    def reversed(self) -> "DirectedDevice":
-        """The same device oriented the other way (interfaces swapped)."""
-        return DirectedDevice(
-            self.physical,
-            self.to_zone,
-            self.from_zone,
-            self.egress_interface,
-            self.ingress_interface,
-        )
-
     def text(self) -> str:
         return f"{self.device_id}{zone_subscript(self.from_zone)}{zone_subscript(self.to_zone)}"
 
@@ -172,10 +163,6 @@ class DevicePath:
 
     def device_ids(self) -> tuple[str, ...]:
         return tuple(s.device_id for s in self.steps)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -281,14 +268,13 @@ class PathMatrix:
     Each path is a tuple of indices into ``table``, the matrix's directed
     devices in canonical order (device_key).  PathMatrix(rows, table)
     takes rows[i][j], cell (i, j)'s distinct valid paths in that form, as
-    right_iterate builds them; PathMatrix.build(n, cell) takes a PathSet
-    for each cell and numbers their devices itself.  index_paths(i, j)
-    gives the stored int tuples, in no promised order, and
-    occurrence_indices the indices on them.  cell(i, j) builds its
-    PathSet, each path checked by DevicePath, on first request; steps and
-    occurrences map the indices back to directed devices.  Each cache
-    entry is built once per cell; readers racing on a cell build equal
-    values.
+    adjacency_matrix and right_iterate build them; PathMatrix.build(n,
+    cell) takes a PathSet for each cell and numbers their devices itself.
+    index_paths(i, j) gives the stored int tuples, in no promised order,
+    and occurrence_indices the indices on them.  cell(i, j) maps the
+    indices back to directed devices and builds its PathSet, each path
+    checked by DevicePath, on first request.  Each cache entry is built
+    once per cell; readers racing on a cell build equal values.
     """
 
     def __init__(
@@ -336,16 +322,11 @@ class PathMatrix:
     def occurrence_indices(self, i: int, j: int) -> frozenset[int]:
         return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))
 
-    def steps(self, i: int, j: int) -> list[Steps]:
-        table = self.table
-        return [tuple(map(table.__getitem__, path)) for path in self._rows[i][j]]
-
-    def occurrences(self, i: int, j: int) -> frozenset[DirectedDevice]:
-        return frozenset(map(self.table.__getitem__, self.occurrence_indices(i, j)))
-
     def cell(self, i: int, j: int) -> PathSet:
+        step = self.table.__getitem__
         return self._build(
-            "cell", i, j, lambda _: PathSet(frozenset(map(DevicePath, self.steps(i, j))))
+            "cell", i, j,
+            lambda paths: PathSet(frozenset(DevicePath(tuple(map(step, p))) for p in paths)),
         )
 
     def __eq__(self, other) -> bool:

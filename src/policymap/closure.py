@@ -20,7 +20,9 @@ iteration stops at the first fixpoint.  right_iterate, the closure the
 pipeline uses, evaluates the same recurrence semi-naively (Bancilhon
 1986): each round extends only the paths the round before found first,
 by one directed device, into the same matrix A<n-1>, each path a tuple
-of indices into the adjacency's table of directed devices.
+of indices into the adjacency's table of directed devices.  It reads A
+and T in that int form too, so no path object is built unless a cell's
+PathSet is read.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -76,10 +78,10 @@ def _check_inputs(adjacency: PathMatrix, transitivity: PathMatrix) -> None:
         )
     n = adjacency.n
     for i in range(n):
-        if adjacency.cell(i, i) != ONE:
+        if list(adjacency.index_paths(i, i)) != [()]:
             raise ValueError(f"adjacency diagonal ({i}, {i}) is not ONE")
         for j in range(n):
-            if i != j and transitivity.cell(i, j) != ZERO:
+            if i != j and transitivity.index_paths(i, j):
                 raise ValueError("transitivity matrix must be diagonal")
 
 
@@ -125,10 +127,10 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
     n = adjacency.n
     transitive = []
     for z in range(n):
-        flag = transitivity.cell(z, z)
-        if flag not in (ONE, ZERO):
+        flag = list(transitivity.index_paths(z, z))
+        if flag not in ([()], []):
             raise ValueError(f"transitivity diagonal ({z}, {z}) is neither ONE nor ZERO")
-        transitive.append(flag == ONE)
+        transitive.append(bool(flag))
 
     table = adjacency.table
     device_bit: dict[str, int] = {}

@@ -50,10 +50,6 @@ def _value_texts(assignments: Iterable[DeviceAssignment]) -> Iterator[str]:
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
 
-def assignment_from_dict(entry: dict) -> DeviceAssignment:
-    return _assignment_from_dict(entry, {}, {})
-
-
 def _assignment_from_dict(entry: dict, values: dict, rules: dict) -> DeviceAssignment:
     fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:

@@ -113,9 +113,6 @@ class ServiceSet:
                     out.append((proto, low, high))
         return ServiceSet.from_ranges(out)
 
-    def issubset(self, other: "ServiceSet") -> bool:
-        return self.intersection(other) == self
-
     def __bool__(self) -> bool:
         return bool(self.ranges)
 
@@ -361,9 +358,9 @@ def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Sequence
 class PolicyRule:
     """An intended end-to-end policy between two named zones.
 
-    Its structural hash is computed once, at construction: sets of
-    assignments hash their rules, and a value's hash walks its ServiceSet
-    or Fraction.
+    Its structural hash and its context are computed once, at construction:
+    sets of assignments hash their rules, a value's hash walks its
+    ServiceSet or Fraction, and sort keys and documents read the context.
     """
 
     src: str
@@ -373,8 +370,9 @@ class PolicyRule:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"rule with identical endpoints {self.src!r}")
-        # Not a field, so ==, repr and fields() stay structural.
+        # Not fields, so ==, repr and fields() stay structural.
         object.__setattr__(self, "_hash", hash((self.src, self.dst, self.value)))
+        object.__setattr__(self, "context", context_of(self.value))
 
     def __hash__(self) -> int:
         return self._hash
@@ -383,10 +381,6 @@ class PolicyRule:
         # Rebuild from the fields: a string hash differs between processes,
         # so a pickled _hash would be stale.
         return (PolicyRule, (self.src, self.dst, self.value))
-
-    @property
-    def context(self) -> PolicyContext:
-        return context_of(self.value)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import IO, Union
 
-from .algebra import ONE, ZERO, DevicePath, DirectedDevice, PathMatrix, PathSet, PhysicalDevice
+from .algebra import ONE, ZERO, DirectedDevice, PathMatrix, PhysicalDevice, device_key
 from .errors import MalformedDocument, SchemaError, UnknownZone
 
 ZONE_KIND = "zone"
@@ -204,13 +204,16 @@ class ZoneConduitModel:
 
     def __post_init__(self):
         object.__setattr__(self, "_index_of", {zone.name: zone.index for zone in self.zones})
+        # (conduit pair, physical, from, to, ingress, egress) of every device filed.
+        filed = {pair + dev._fields() for pair, devs in self.conduits.items() for dev in devs}
         for (i, j), devs in self.conduits.items():
             if not devs:
                 raise ValueError(f"empty conduit ({i}, {j})")
             for dev in devs:
                 if (dev.from_zone, dev.to_zone) != (i, j):
                     raise ValueError(f"device {dev.text()} filed under conduit ({i}, {j})")
-                if dev.reversed() not in self.conduits.get((j, i), frozenset()):
+                reverse = (j, i, dev.physical, j, i, dev.egress_interface, dev.ingress_interface)
+                if reverse not in filed:
                     raise ValueError(f"conduit ({i}, {j}) lacks the reverse of {dev.text()}")
 
     @property
@@ -294,13 +297,18 @@ def build_model(
 
 
 def adjacency_matrix(model: ZoneConduitModel) -> PathMatrix:
-    """Single-step path matrix: ONE on the diagonal, conduit devices elsewhere."""
-    return PathMatrix.build(
-        model.n,
-        lambda i, j: ONE if i == j else PathSet(
-            frozenset(DevicePath((t,)) for t in model.conduits.get((i, j), ()))
-        ),
-    )
+    """Single-step path matrix: ONE on the diagonal, conduit devices elsewhere.
+
+    Built straight in PathMatrix's int form: the table is the model's
+    directed devices in canonical order (device_key), the diagonal cells
+    hold the empty path () and cell (i, j) one (k,) per device on conduit
+    (i, j).  No path object is built until a cell is read.
+    """
+    table = sorted((dev for devs in model.conduits.values() for dev in devs), key=device_key)
+    rows = [[[()] if i == j else [] for j in range(model.n)] for i in range(model.n)]
+    for k, dev in enumerate(table):
+        rows[dev.from_zone][dev.to_zone].append((k,))
+    return PathMatrix(rows, table)
 
 
 def transitivity_matrix(model: ZoneConduitModel) -> PathMatrix:

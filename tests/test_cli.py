@@ -10,8 +10,8 @@ from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
 from policymap.mapper import map_rules
-from policymap.policy import PolicyRule, SecurityValue, ServiceSet, parse_policy
-from policymap.topology import adjacency_matrix, build_model, load_topology
+from policymap.policy import PolicyRule, SecurityValue, ServiceSet
+from policymap.topology import build_model
 
 from conftest import (
     Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, data_path, hash_seed_env,
@@ -420,24 +420,26 @@ class TestExitCodeContract:
 
 
 class TestPathObjects:
-    """map and whatif read the closure's step tuples: the only DevicePaths
-    they build are the one-step paths of the adjacency matrices."""
+    """map, verify and whatif read the closure's int paths: they build no
+    DevicePath at all, not even for the adjacency."""
 
     @pytest.mark.parametrize(
-        "options, dropped",
-        [(("map",), None), (("whatif", "--drop-device", "A", "--set-non-transitive", "Z2"), "A")],
+        "options, exit_code",
+        [
+            (("map",), 0),
+            (("verify", "{map}"), 3),
+            (("whatif", "--drop-device", "A", "--set-non-transitive", "Z2"), 0),
+        ],
     )
-    def test_only_adjacency_paths_are_built(self, capsys, monkeypatch, options, dropped):
-        topology = load_topology(DIAMOND)
-        transitivity = parse_policy(Path(POLICY_MIXED).read_text()).transitivity
-        topologies = [topology] + ([_drop_devices(topology, [dropped])] if dropped else [])
-        one_step = 0
-        for net in topologies:
-            model = build_model(net, transitivity)
-            adjacency = adjacency_matrix(model)
-            one_step += sum(
-                len(adjacency.cell(i, j)) for i in range(model.n) for j in range(model.n) if i != j
-            )
+    def test_no_path_is_built(self, capsys, monkeypatch, tmp_path, options, exit_code):
+        target = tmp_path / "map.json"
+        run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured", "--out", str(target))
+        doc = json.loads(target.read_text())
+        # A wrong value and a wrong interface: verify derives a delta and finds a fault.
+        security = [e for e in doc["assignments"] if e["context"] == "security"]
+        security[0]["value"] = "tcp/22"
+        security[1]["interface"] = "e1"
+        target.write_text(json.dumps(doc))
 
         built = []
         check = DevicePath.__post_init__
@@ -448,10 +450,10 @@ class TestPathObjects:
 
         monkeypatch.setattr(DevicePath, "__post_init__", counting)
         verb, *rest = options
-        code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *rest)
-        assert code == 0 and out
-        assert all(len(path) == 1 for path in built)
-        assert len(built) == one_step
+        argv = [str(target) if arg == "{map}" else arg for arg in rest]
+        code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *argv)
+        assert code == exit_code and out
+        assert built == []
 
 
 def _graphml_of(topology) -> str:

@@ -297,6 +297,24 @@ class TestCompactCells:
     @pytest.mark.parametrize(
         "models", [random_models, whatif_variant_models, sparse_sixty_models]
     )
+    def test_adjacency_rows_match_pathset_build(self, models):
+        for model in models():
+            adjacency = adjacency_matrix(model)
+            built = PathMatrix.build(
+                model.n,
+                lambda i, j: ONE if i == j else PathSet(
+                    frozenset(DevicePath((dev,)) for dev in model.conduits.get((i, j), ()))
+                ),
+            )
+            assert adjacency.table == built.table
+            for i in range(model.n):
+                for j in range(model.n):
+                    assert set(adjacency.index_paths(i, j)) == set(built.index_paths(i, j))
+            assert adjacency == built
+
+    @pytest.mark.parametrize(
+        "models", [random_models, whatif_variant_models, sparse_sixty_models]
+    )
     def test_cells_and_audit_match_oracle(self, models):
         rng = random.Random(0xC0C)
         for model in models():
@@ -307,10 +325,11 @@ class TestCompactCells:
             for i in range(model.n):
                 for j in range(model.n):
                     cell = oracle.cell(i, j)
-                    assert sorted(closure.steps(i, j), key=steps_key) == [
-                        p.steps for p in cell.sorted_paths()
-                    ]
-                    assert closure.occurrences(i, j) == {s for p in cell for s in p.steps}
+                    steps = [tuple(closure.table[k] for k in p) for p in closure.index_paths(i, j)]
+                    assert sorted(steps, key=steps_key) == [p.steps for p in cell.sorted_paths()]
+                    assert {closure.table[k] for k in closure.occurrence_indices(i, j)} == {
+                        s for p in cell for s in p.steps
+                    }
             for ctx in PolicyContext:
                 rules = random_rules(rng, model, ctx)
                 placed, _ = map_rules(rules, closure, model)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from policymap import documents
 from policymap.documents import (
-    assignment_from_dict,
     assignment_to_dict,
     load_assignments,
     map_document,
@@ -72,7 +71,8 @@ class TestAssignmentsIO:
     def test_dict_round_trip(self):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
         assignment = DeviceAssignment("A", "e0", Direction.INBOUND, rule)
-        assert assignment_from_dict(assignment_to_dict(assignment)) == assignment
+        entries = [assignment_to_dict(assignment)]
+        assert load_assignments(json.dumps(entries)) == [assignment]
 
     @staticmethod
     def _entries(*values):
@@ -100,7 +100,7 @@ class TestAssignmentsIO:
             (PolicyContext.MEASUREMENT, "tcp/22"),
             (PolicyContext.QOS, "tcp/22 min 5MB/s"),
         })
-        assert loaded == [assignment_from_dict(entry) for entry in entries]
+        assert loaded == [load_assignments(json.dumps([entry]))[0] for entry in entries]
 
     def test_repeated_bad_value_fails_on_its_first_entry(self):
         entries = self._entries(

@@ -266,7 +266,7 @@ class TestVerify:
 class TestPathDevices:
     def test_occurrences_across_paths(self, diamond_astar, diamond_model):
         i, j = diamond_model.zone_index("Z1"), diamond_model.zone_index("Z3")
-        devs = diamond_astar.occurrences(i, j)
+        devs = [diamond_astar.table[k] for k in diamond_astar.occurrence_indices(i, j)]
         assert sorted(d.device_id for d in devs) == list("ABCDEFG")
 
 

@@ -74,8 +74,8 @@ class TestServiceSet:
 
     def test_bounds(self):
         for s in (SSH, HTTP, EMPTY_SERVICES, ANY_SERVICES):
-            assert EMPTY_SERVICES.issubset(s)
-            assert s.issubset(ANY_SERVICES)
+            assert EMPTY_SERVICES.intersection(s) == EMPTY_SERVICES
+            assert s.intersection(ANY_SERVICES) == s
 
     def test_text_forms(self):
         assert SSH.text() == "tcp/22"
@@ -273,10 +273,10 @@ class TestCompositionProperties:
         ctx = PolicyContext.SECURITY
         serial_small = compose_serial(ctx, SecurityValue(small), SecurityValue(c))
         serial_big = compose_serial(ctx, SecurityValue(big), SecurityValue(c))
-        assert serial_small.services.issubset(serial_big.services)
+        assert serial_small.services.intersection(serial_big.services) == serial_small.services
         par_small = compose_parallel(ctx, SecurityValue(small), SecurityValue(c))
         par_big = compose_parallel(ctx, SecurityValue(big), SecurityValue(c))
-        assert par_small.services.issubset(par_big.services)
+        assert par_small.services.intersection(par_big.services) == par_small.services
 
     @given(
         st.fractions(min_value=0, max_value=10**6),
@@ -303,7 +303,7 @@ def literal_end_to_end(ctx, device_policies, paths):
         raise EmptyPathSet("cannot derive a policy over an empty path set")
 
     def path_value(path):
-        if path.is_empty:
+        if not path.steps:
             return serial_identity(ctx)
         values = []
         for step in path.steps:

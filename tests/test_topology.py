@@ -1,12 +1,16 @@
+import re
+
 import pytest
 
-from policymap.algebra import ONE, ZERO
+from policymap.algebra import ONE, ZERO, DirectedDevice, PhysicalDevice
 from policymap.errors import MalformedDocument, SchemaError, UnknownZone
 from policymap.topology import (
     FIREWALL_ZONE_INTERFACE,
     NetworkTopology,
     TopologyLink,
     TopologyNode,
+    Zone,
+    ZoneConduitModel,
     adjacency_matrix,
     build_model,
     parse_topology,
@@ -125,7 +129,10 @@ class TestBuildModel:
     def test_symmetric_conduits(self, diamond_model):
         for (i, j), devs in diamond_model.conduits.items():
             for dev in devs:
-                assert dev.reversed() in diamond_model.conduits[(j, i)]
+                reverse = DirectedDevice(
+                    dev.physical, j, i, dev.egress_interface, dev.ingress_interface
+                )
+                assert reverse in diamond_model.conduits[(j, i)]
 
     def test_star_device_expands_to_simple_edges(self):
         nodes = (
@@ -185,6 +192,45 @@ class TestBuildModel:
         )
         with pytest.raises(SchemaError, match="self"):
             build_model(NetworkTopology(nodes, links), {}, add_firewall_zones=True)
+
+
+class TestConduitChecks:
+    """ZoneConduitModel rejects an empty, misfiled or one-way conduit."""
+
+    X = PhysicalDevice("X", ("e0", "e1"))
+    X12 = DirectedDevice(X, 0, 1, "e0", "e1")
+    X21 = DirectedDevice(X, 1, 0, "e1", "e0")
+
+    def model(self, conduits):
+        zones = tuple(Zone(index, f"Z{index + 1}", False) for index in range(3))
+        return ZoneConduitModel(zones=zones, devices={"X": self.X}, conduits=conduits)
+
+    def test_symmetric_pair_accepted(self):
+        model = self.model({(0, 1): frozenset({self.X12}), (1, 0): frozenset({self.X21})})
+        assert model.n == 3
+
+    def test_empty_conduit(self):
+        with pytest.raises(ValueError, match=re.escape("empty conduit (0, 1)")):
+            self.model({(0, 1): frozenset()})
+
+    def test_device_filed_under_wrong_pair(self):
+        with pytest.raises(ValueError, match=re.escape("device X12 filed under conduit (0, 2)")):
+            self.model({(0, 2): frozenset({self.X12}), (2, 0): frozenset({self.X21})})
+
+    @pytest.mark.parametrize(
+        "reverse",
+        [
+            {},
+            # Oriented 1 -> 0 but with ingress and egress not swapped.
+            {(1, 0): frozenset({DirectedDevice(X, 1, 0, "e0", "e1")})},
+            # The right reverse, but on another conduit.
+            {(2, 0): frozenset({X21})},
+        ],
+        ids=["none", "unswapped-interfaces", "other-conduit"],
+    )
+    def test_missing_reverse(self, reverse):
+        with pytest.raises(ValueError, match=re.escape("conduit (0, 1) lacks the reverse of X12")):
+            self.model({(0, 1): frozenset({self.X12}), **reverse})
 
 
 class TestMatrices:
