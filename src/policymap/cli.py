@@ -16,9 +16,9 @@ from . import documents
 from .closure import right_iterate
 from .errors import PolicymapError, UnknownDevice, UnreachablePair
 from .mapper import (
-    DeviceAssignment,
     DirectionConvention,
     MeasurementStrategy,
+    Placements,
     map_rules,
     require_reachable,
     verify_assignments,
@@ -59,7 +59,7 @@ def _compile(topology: NetworkTopology, transitivity: dict, firewall_zones: bool
 
 
 def _map_tolerant(policy_doc, astar, model, convention, strategy):
-    """Map every rule: map_rules' assignments and its rules with no valid path.
+    """Map every rule: map_rules' placements and its rules with no valid path.
 
     Rules are taken context by context, each in file order.
     """
@@ -73,7 +73,7 @@ def _map_all(
     model: ZoneConduitModel,
     convention: DirectionConvention,
     strategy: MeasurementStrategy,
-) -> list[DeviceAssignment]:
+) -> Placements:
     """Map every rule; raises UnreachablePair for the first unreachable one."""
     return require_reachable(_map_tolerant(policy_doc, astar, model, convention, strategy))
 
@@ -98,12 +98,12 @@ def _render(document: dict, renderer, fmt: str) -> str:
 def cmd_map(args) -> int:
     topology, policy_doc = _read_inputs(args)
     model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
-    assignments = _map_all(
+    placements = _map_all(
         policy_doc, astar, model,
         DirectionConvention(args.direction_convention),
         MeasurementStrategy(args.measurement_strategy),
     )
-    document = documents.map_document(assignments)
+    document = documents.map_document(placements)
     _emit(_render(document, documents.render_map_text, args.format), args.out)
     return 0
 

@@ -1,51 +1,28 @@
 """Stable textual and structured forms of the pipeline outputs.
 
 The structured forms are JSON-shaped trees with fixed field names; the
-map document doubles as the assignments file format for verification, so
-a map run can be audited back without translation.  All lists are sorted
-and all dict keys are emitted in sorted order, making every document a
-deterministic function of its inputs.  Rule values are printed and parsed
-by policy.py, in the policy file's grammar; this module has no value syntax.
+map document doubles as the assignments file format for verification.
+All lists are sorted and all dict keys are emitted in sorted order, so
+every document is a deterministic function of its inputs.  Entries are
+written from mapper.Placements, reading each rule and each site once.
+Rule values are printed and parsed by policy.py, in the policy file's
+grammar; this module has no value syntax.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import groupby
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import AssignmentsError
 from .mapper import (
-    AssignmentFinding,
+    DIRECTIONS,
     DeviceAssignment,
-    Direction,
+    Placements,
     PolicyDelta,
     VerificationReport,
 )
 from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value_to_text
-
-
-def assignment_to_dict(assignment: DeviceAssignment, value_text: str | None = None) -> dict:
-    """assignment's entry; value_text, if given, is its rule value's text."""
-    rule = assignment.rule
-    return {
-        "device": assignment.device_id,
-        "interface": assignment.interface,
-        "direction": assignment.direction.value,
-        "context": rule.context.value,
-        "src": rule.src,
-        "dst": rule.dst,
-        "value": value_to_text(rule.value) if value_text is None else value_text,
-    }
-
-
-def _value_texts(assignments: Iterable[DeviceAssignment]) -> Iterator[str]:
-    """Each assignment's value text, printed once per run of equal values."""
-    for value, run in groupby(assignment.rule.value for assignment in assignments):
-        text = value_to_text(value)
-        yield from (text for _ in run)
-
 
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
@@ -69,35 +46,44 @@ def _assignment_from_dict(entry: dict, values: dict, rules: dict) -> DeviceAssig
             if (context, value) not in values:
                 values[context, value] = value_from_text(PolicyContext(context), value)
             rule = rules[context, src, dst, value] = PolicyRule(src, dst, values[context, value])
-        return DeviceAssignment(device, interface, Direction(direction), rule)
+        if direction not in DIRECTIONS:
+            raise ValueError(f"{direction!r} is not a valid Direction")
+        return DeviceAssignment(device, interface, DIRECTIONS[direction], rule)
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
 
-def _entries(assignments) -> list[dict]:
-    ordered = sorted(assignments, key=DeviceAssignment.sort_key)
-    return list(map(assignment_to_dict, ordered, _value_texts(ordered)))
+def _rule_fields(placements: Placements) -> list[tuple[str, str, str, str]]:
+    """(context, src, dst, value text) per rule of placements; each value printed once."""
+    texts: dict = {}
+    fields = []
+    for rule in placements.rules:
+        text = texts.get(rule.value)
+        if text is None:
+            text = texts[rule.value] = value_to_text(rule.value)
+        fields.append((rule.context.value, rule.src, rule.dst, text))
+    return fields
 
 
-def map_document(assignments: Sequence[DeviceAssignment]) -> dict:
+def _entries(placements: Placements, fields: list, order: list[int]) -> list[dict]:
+    """The entries of placements' rows, in order; fields as _rule_fields gives them."""
+    sites = [{"device": d, "interface": i, "direction": w} for d, i, w in placements.sites]
+    rules = [{"context": c, "src": src, "dst": dst, "value": v} for c, src, dst, v in fields]
+    return [sites[s] | rules[r] for r, s in map(placements.rows.__getitem__, order)]
+
+
+def map_document(placements: Placements) -> dict:
     """The policy-to-device map: a flat table plus the per-device tree."""
-    flat = _entries(assignments)
+    fields = _rule_fields(placements)
+    lines = [rule_line(rule.context, *f[1:]) for rule, f in zip(placements.rules, fields)]
+    at_site: list[set[str]] = [set() for _ in placements.sites]
+    for r, s in placements.rows:
+        at_site[s].add(lines[r])
     tree: dict = {}
-    for rule, run in groupby(flat, key=itemgetter("context", "src", "dst", "value")):
-        line = rule_line(PolicyContext(rule[0]), *rule[1:])
-        for entry in run:
-            rules = (
-                tree.setdefault(entry["device"], {})
-                .setdefault(entry["interface"], {})
-                .setdefault(entry["direction"], [])
-            )
-            if line not in rules:
-                rules.append(line)
-    for device in tree.values():
-        for interface in device.values():
-            for lines in interface.values():
-                lines.sort()
-    return {"assignments": flat, "by_device": tree}
+    for (device, interface, direction), site_lines in zip(placements.sites, at_site):
+        if site_lines:
+            tree.setdefault(device, {}).setdefault(interface, {})[direction] = sorted(site_lines)
+    return {"assignments": _entries(placements, fields, placements.order()), "by_device": tree}
 
 
 def load_assignments(text: str) -> list[DeviceAssignment]:
@@ -122,12 +108,6 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
     return [_assignment_from_dict(entry, values, rules) for entry in entries]
 
 
-def finding_to_dict(finding: AssignmentFinding, value_text: str | None = None) -> dict:
-    entry = assignment_to_dict(finding.assignment, value_text)
-    entry["classification"] = finding.classification.value
-    return entry
-
-
 def delta_to_dict(delta: PolicyDelta) -> dict:
     return {
         "src": delta.src,
@@ -139,8 +119,11 @@ def delta_to_dict(delta: PolicyDelta) -> dict:
 
 
 def verify_document(report: VerificationReport) -> dict:
-    ordered = sorted(report.findings, key=lambda f: f.assignment.sort_key())
-    findings = list(map(finding_to_dict, ordered, _value_texts(f.assignment for f in ordered)))
+    placements = Placements.of(finding.assignment for finding in report.findings)
+    order = placements.order()
+    findings = _entries(placements, _rule_fields(placements), order)
+    for entry, i in zip(findings, order):
+        entry["classification"] = report.findings[i].classification.value
     delta_key = lambda e: (e["context"], e["src"], e["dst"])
     return {
         "clean": report.clean,
@@ -161,14 +144,26 @@ def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     )
 
 
+def _difference(a: Placements, b: Placements) -> Placements:
+    """The (rule, site) placements of a that b lacks, each once, over a's tables."""
+    b_sites: list[set] = [set() for _ in b.rules]
+    for r, s in b.rows:
+        b_sites[r].add(b.sites[s])
+    in_b = dict(zip(b.rules, b_sites))
+    lacking = [in_b.get(rule, ()) for rule in a.rules]
+    rows = dict.fromkeys((r, s) for r, s in a.rows if a.sites[s] not in lacking[r])
+    return Placements(a.rules, a.sites, list(rows))
+
+
 def diff_document(
-    before_assignments: Sequence[DeviceAssignment],
+    before_placements: Placements,
     before_unreachable: Sequence[PolicyRule],
-    after_assignments: Sequence[DeviceAssignment],
+    after_placements: Placements,
     after_unreachable: Sequence[PolicyRule],
 ) -> dict:
-    """What-if diff of two runs' assignments and unreachable rules, of one policy."""
-    before, after = set(before_assignments), set(after_assignments)
+    """What-if diff of two runs' placements and unreachable rules, of one policy."""
+    removed = _difference(before_placements, after_placements)
+    added = _difference(after_placements, before_placements)
     before_un, after_un = set(before_unreachable), set(after_unreachable)
 
     def pairs(rules):
@@ -176,8 +171,8 @@ def diff_document(
         return [{"context": c, "src": s, "dst": d} for c, s, d in keys]
 
     return {
-        "removed": _entries(before - after),
-        "added": _entries(after - before),
+        "removed": _entries(removed, _rule_fields(removed), removed.order()),
+        "added": _entries(added, _rule_fields(added), added.order()),
         "new_unreachable": pairs(after_un - before_un),
         "resolved_unreachable": pairs(before_un - after_un),
     }

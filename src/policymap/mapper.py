@@ -9,11 +9,13 @@ replicated with the full bandwidth on every device of every path, a
 conservative over-provision since splitting a guarantee across paths has
 no canonical ratio.
 
-Each placement is one (device, interface, direction) assignment.  By
+Each placement is one (device, interface, direction) site for a rule.  By
 default a directed device receives its rule inbound on the ingress
 interface; the egress-outbound convention is equivalent, since either one
 filters source-to-destination traffic at that device, and auditing
-accepts both.
+accepts both.  ``map_rules`` returns ``Placements``, (rule, site) rows of
+ints over a rule table and a site table, so that the documents read each
+rule and each site once; ``map_policy`` returns sorted ``DeviceAssignment``s.
 
 Auditing classifies every existing assignment against the computed paths
 for its rule's zone pair:
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import DirectedDevice, PathMatrix
 from .errors import ContextMismatch, UnreachablePair
@@ -90,15 +92,52 @@ class DeviceAssignment:
     def site(self) -> tuple[str, str, Direction]:
         return self.device_id, self.interface, self.direction
 
-    def sort_key(self):
-        return (
-            self.rule.context.value,
-            self.rule.src,
-            self.rule.dst,
-            self.device_id,
-            self.interface,
-            self.direction.value,
-        )
+
+# Each Direction by its value, read without an Enum call.
+DIRECTIONS = {direction.value: direction for direction in Direction}
+
+
+class Placements:
+    """Rows of (rule index, site index), with multiplicity and in input order,
+    over a table of distinct rules and a sorted table of plain (device_id,
+    interface, direction value) sites.  len() counts the rows; iterating
+    gives each as a DeviceAssignment, sorted by (context, src, dst,
+    device_id, interface, direction), with ties in row order."""
+
+    __slots__ = ("rules", "sites", "rows")
+
+    def __init__(self, rules, sites, rows):
+        self.rules, self.sites, self.rows = rules, sites, rows
+
+    @classmethod
+    def of(cls, assignments: Iterable[DeviceAssignment]) -> Placements:
+        """The placements of assignments, each distinct rule and site interned."""
+        ids: dict[PolicyRule, int] = {}
+        pairs = [
+            (ids.setdefault(a.rule, len(ids)), (a.device_id, a.interface, a.direction.value))
+            for a in assignments
+        ]
+        sites = sorted({site for _, site in pairs})
+        site_ids = {site: s for s, site in enumerate(sites)}
+        return cls(list(ids), sites, [(r, site_ids[site]) for r, site in pairs])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def order(self) -> list[int]:
+        """The row indices in iteration order."""
+        # Rules that share a (context, src, dst) key share a rank, so that
+        # their rows at one site keep their order.
+        keys = [(rule.context.value, rule.src, rule.dst) for rule in self.rules]
+        rank = {key: k * len(self.sites) for k, key in enumerate(sorted(set(keys)))}
+        base = [rank[key] for key in keys]
+        codes = [base[r] + s for r, s in self.rows]
+        return sorted(range(len(codes)), key=codes.__getitem__)
+
+    def __iter__(self) -> Iterator[DeviceAssignment]:
+        for r, s in map(self.rows.__getitem__, self.order()):
+            device_id, interface, direction = self.sites[s]
+            yield DeviceAssignment(device_id, interface, DIRECTIONS[direction], self.rules[r])
 
 
 @dataclass(frozen=True)
@@ -160,14 +199,20 @@ def map_rules(
     model: ZoneConduitModel,
     convention: DirectionConvention = DirectionConvention.INGRESS_INBOUND,
     measurement_strategy: MeasurementStrategy = MeasurementStrategy.ALL,
-) -> tuple[list[DeviceAssignment], list[PolicyRule]]:
-    """The assignments of all rules, in no promised order, and the rules with
-    no valid path, in the given order; any other error stops the walk."""
+) -> tuple[Placements, list[PolicyRule]]:
+    """The placements of all rules and the rules with no valid path, in the
+    given order; any other error stops the walk."""
     side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
-    sites = [realizations(dev)[side] for dev in astar.table]
-    assignments: list[DeviceAssignment] = []
+    realized = [realizations(dev)[side] for dev in astar.table]
+    plain = [(device_id, interface, way.value) for device_id, interface, way in realized]
+    sites = sorted(set(plain))
+    site_ids = {site: s for s, site in enumerate(sites)}
+    site_of = [site_ids[site] for site in plain]
+    rule_ids: dict[PolicyRule, int] = {}
+    rows: list[tuple[int, int]] = []
     unreachable: list[PolicyRule] = []
     for rule in rules:
+        r = rule_ids.setdefault(rule, len(rule_ids))
         i = model.zone_index(rule.src)
         j = model.zone_index(rule.dst)
         targets: Iterable[int] = astar.occurrence_indices(i, j)
@@ -178,21 +223,17 @@ def map_rules(
             measurement_strategy is MeasurementStrategy.FIRST
         ):
             targets = {path[0] for path in astar.index_paths(i, j)}
-        placed = {sites[k] for k in targets}
-        assignments.extend(
-            DeviceAssignment(device_id, interface, direction, rule)
-            for device_id, interface, direction in placed
-        )
-    return assignments, unreachable
+        rows.extend((r, s) for s in {site_of[k] for k in targets})
+    return Placements(list(rule_ids), sites, rows), unreachable
 
 
-def require_reachable(mapped: tuple[list, list[PolicyRule]]) -> list[DeviceAssignment]:
-    """map_rules' assignments; raises UnreachablePair for its first unreachable rule."""
-    assignments, unreachable = mapped
+def require_reachable(mapped: tuple[Placements, list[PolicyRule]]) -> Placements:
+    """map_rules' placements; raises UnreachablePair for its first unreachable rule."""
+    placements, unreachable = mapped
     if unreachable:
         first = unreachable[0]
         raise UnreachablePair(first.src, first.dst, first.context.value)
-    return assignments
+    return placements
 
 
 def _check_context(ctx: PolicyContext, task: str, rules: Iterable[PolicyRule], kind="rule"):
@@ -213,11 +254,11 @@ def map_policy(
     """Map every rule of one context onto concrete device assignments.
 
     Checks every rule's context before mapping any, and raises UnreachablePair
-    for the first unreachable rule.  The result is sorted by sort_key.
+    for the first unreachable rule.  The result is in Placements order.
     """
     _check_context(ctx, "mapping", rules)
     mapped = map_rules(rules, astar, model, convention, measurement_strategy)
-    return sorted(require_reachable(mapped), key=DeviceAssignment.sort_key)
+    return list(require_reachable(mapped))
 
 
 Realizers = dict[Site, list[int]]

@@ -509,6 +509,7 @@ def parse_policy(text: str) -> PolicyDocument:
     transitivity: dict[str, bool] = {}
     rules: list[PolicyRule] = []
     seen: set[tuple[PolicyContext, str, str]] = set()
+    values: dict[tuple[str, str], PolicyValue] = {}  # a policy repeats few value texts
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -531,7 +532,9 @@ def parse_policy(text: str) -> PolicyDocument:
                 collect, _, value_text = value_text.partition(" ")
                 if collect != "collect":
                     raise PolicyParseError(line_no, "measure value must start with 'collect '")
-            value = value_from_text(_RULE_CONTEXT[keyword], value_text)
+            if (keyword, value_text) not in values:
+                values[keyword, value_text] = value_from_text(_RULE_CONTEXT[keyword], value_text)
+            value = values[keyword, value_text]
             if src == dst:
                 raise PolicyParseError(line_no, f"rule endpoints are both {src!r}")
             rule = PolicyRule(src, dst, value)

@@ -9,7 +9,7 @@ import pytest
 from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
-from policymap.mapper import map_rules
+from policymap.mapper import DeviceAssignment, map_rules
 from policymap.policy import PolicyRule, SecurityValue, ServiceSet
 from policymap.topology import build_model
 
@@ -393,7 +393,8 @@ class TestFirewallZones:
                     for dev in devs
                 )
                 rule = PolicyRule(rng.choice(names), fwz, ssh)
-                assert map_rules([rule], closure_of(model), model) == ([], [rule])
+                placements, unreachable = map_rules([rule], closure_of(model), model)
+                assert len(placements) == 0 and unreachable == [rule]
                 drops += 1
         assert drops == 410
 
@@ -453,6 +454,29 @@ class TestPathObjects:
         argv = [str(target) if arg == "{map}" else arg for arg in rest]
         code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *argv)
         assert code == exit_code and out
+        assert built == []
+
+
+class TestPlacementObjects:
+    """map and whatif hand map_rules' placement rows to the documents: they
+    build no DeviceAssignment."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [("map",), ("whatif", "--drop-device", "A", "--set-non-transitive", "Z2")],
+    )
+    def test_no_assignment_is_built(self, capsys, monkeypatch, options):
+        built = []
+        init = DeviceAssignment.__init__
+
+        def counting(assignment, *args):
+            built.append(args)
+            init(assignment, *args)
+
+        monkeypatch.setattr(DeviceAssignment, "__init__", counting)
+        verb, *rest = options
+        code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *rest, "--format", "structured")
+        assert code == 0 and json.loads(out)
         assert built == []
 
 

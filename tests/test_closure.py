@@ -22,8 +22,17 @@ from policymap.closure import (
     matrix_union,
     right_iterate,
 )
+from policymap.documents import map_document
 from policymap.errors import DimensionMismatch, PolicymapError
-from policymap.mapper import Direction, map_rules, verify_assignments
+from policymap.mapper import (
+    Direction,
+    DirectionConvention,
+    MeasurementStrategy,
+    Placements,
+    map_rules,
+    realizations,
+    verify_assignments,
+)
 from policymap.policy import PolicyContext
 from policymap.topology import (
     NetworkTopology,
@@ -293,6 +302,33 @@ class TestCompactCells:
     """The closure's device table, step tuples, canonical order and
     occurrence sets, which map, verify and whatif read in place of
     DevicePaths, agree with the oracle's PathSets."""
+
+    def test_placements_match_occurrences(self):
+        rng = random.Random(0x91A)
+        for model in random_models():
+            closure = right_iterate(*am_tm(model))
+            rules = [rule for ctx in PolicyContext for rule in random_rules(rng, model, ctx)]
+            for side, convention in enumerate(DirectionConvention):
+                for strategy in MeasurementStrategy:
+                    placements, unreachable = map_rules(rules, closure, model, convention, strategy)
+                    expected = set()
+                    for rule in rules:
+                        i, j = model.zone_index(rule.src), model.zone_index(rule.dst)
+                        targets = closure.occurrence_indices(i, j)
+                        if rule.context is PolicyContext.MEASUREMENT and (
+                            strategy is MeasurementStrategy.FIRST
+                        ):
+                            targets = {path[0] for path in closure.index_paths(i, j)}
+                        expected |= {(rule, realizations(closure.table[k])[side]) for k in targets}
+                    assert unreachable == []
+                    assert len(placements) == len(expected)
+                    assert {(a.rule, a.site) for a in placements} == expected
+                    ordered = list(placements)
+                    assert ordered == sorted(ordered, key=lambda a: (
+                        a.rule.context.value, a.rule.src, a.rule.dst,
+                        a.device_id, a.interface, a.direction.value,
+                    ))
+                    assert map_document(placements) == map_document(Placements.of(ordered))
 
     @pytest.mark.parametrize(
         "models", [random_models, whatif_variant_models, sparse_sixty_models]

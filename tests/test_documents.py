@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from policymap import documents
 from policymap.documents import (
-    assignment_to_dict,
     load_assignments,
     map_document,
     render_verify_text,
@@ -17,6 +16,7 @@ from policymap.errors import AssignmentsError
 from policymap.mapper import (
     DeviceAssignment,
     Direction,
+    Placements,
     map_policy,
     verify_assignments,
 )
@@ -71,7 +71,11 @@ class TestAssignmentsIO:
     def test_dict_round_trip(self):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
         assignment = DeviceAssignment("A", "e0", Direction.INBOUND, rule)
-        entries = [assignment_to_dict(assignment)]
+        entries = map_document(Placements.of([assignment]))["assignments"]
+        assert entries == [
+            {"device": "A", "interface": "e0", "direction": "inbound",
+             "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}
+        ]
         assert load_assignments(json.dumps(entries)) == [assignment]
 
     @staticmethod
@@ -110,6 +114,15 @@ class TestAssignmentsIO:
             load_assignments(json.dumps(entries))
         assert str(raised.value) == (
             f"bad assignment entry {entries[1]!r}: bad port range '99999'"
+        )
+
+    def test_bad_direction_names_the_value(self):
+        (entry,) = self._entries(("security", "tcp/22"))
+        entry["direction"] = "sideways"
+        with pytest.raises(AssignmentsError) as raised:
+            load_assignments(json.dumps([entry]))
+        assert str(raised.value) == (
+            f"bad assignment entry {entry!r}: 'sideways' is not a valid Direction"
         )
 
     def test_load_accepts_bare_list(self):
@@ -171,10 +184,50 @@ class TestVerifyDocument:
         assert entry["intended"] == "min 0MB/s"
         assert render_verify_text(document).startswith("correct:")
 
+    def test_findings_order_is_the_assignment_order(self, diamond_model, diamond_astar):
+        # Two rules on one pair differ only in value; one entry is repeated.
+        # Findings sort by (context, src, dst, device, interface,
+        # direction), and those that tie keep their order in the file.
+        ssh, http = PolicyRule("Z1", "Z3", SecurityValue(SSH)), PolicyRule(
+            "Z1", "Z3", SecurityValue(ServiceSet.from_ranges([("tcp", 80, 80)]))
+        )
+        inbound, outbound = Direction.INBOUND, Direction.OUTBOUND
+        existing = [
+            DeviceAssignment("F", "e1", inbound, http),
+            DeviceAssignment("A", "e0", inbound, ssh),
+            DeviceAssignment("A", "e0", inbound, http),
+            DeviceAssignment("F", "e1", inbound, ssh),
+            DeviceAssignment("A", "e1", outbound, http),
+            DeviceAssignment("A", "e0", inbound, ssh),
+            DeviceAssignment("A", "e0", outbound, ssh),
+        ]
+        report = verify_assignments(
+            PolicyContext.SECURITY, [ssh], diamond_astar, diamond_model, existing
+        )
+        expected = sorted(
+            report.findings,
+            key=lambda f: (
+                f.assignment.rule.context.value, f.assignment.rule.src, f.assignment.rule.dst,
+                f.assignment.device_id, f.assignment.interface, f.assignment.direction.value,
+            ),
+        )
+        assert [
+            (e["device"], e["interface"], e["direction"], e["value"], e["classification"])
+            for e in verify_document(report)["findings"]
+        ] == [
+            (a.device_id, a.interface, a.direction.value, value_to_text(a.rule.value),
+             f.classification.value)
+            for f in expected
+            for a in [f.assignment]
+        ]
+        assert [e["value"] for e in verify_document(report)["findings"][:3]] == [
+            "tcp/22", "tcp/80", "tcp/22"
+        ]
+
     def test_by_device_tree_shape(self, diamond_model, diamond_astar):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
         assignments = map_policy(PolicyContext.SECURITY, [rule], diamond_astar, diamond_model)
-        tree = map_document(assignments)["by_device"]
+        tree = map_document(Placements.of(assignments))["by_device"]
         assert tree["F"]["e1"]["inbound"] == ["security Z1 -> Z3 : tcp/22"]
 
     def test_by_device_lines_parse_back(self, diamond_model, diamond_astar):
@@ -190,7 +243,7 @@ class TestVerifyDocument:
         ]
         lines = {
             line
-            for interfaces in map_document(assignments)["by_device"].values()
+            for interfaces in map_document(Placements.of(assignments))["by_device"].values()
             for directions in interfaces.values()
             for rule_lines in directions.values()
             for line in rule_lines

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from policymap import policy
 from policymap.algebra import (
     EPSILON,
     ONE,
@@ -677,6 +678,34 @@ class TestPolicyParser:
     def test_bad_value_rejected(self, rule, match):
         with pytest.raises(PolicyParseError, match=f"line 2: .*{match}"):
             parse_policy(f"zone Z1 transitive\n{rule}\n")
+
+    def test_each_distinct_value_parsed_once(self, monkeypatch):
+        calls = []
+
+        def counting(context, text):
+            calls.append((context, text))
+            return value_from_text(context, text)
+
+        monkeypatch.setattr(policy, "value_from_text", counting)
+        lines = [
+            "security Z1 -> Z2 : tcp/22", "security Z2 -> Z1 : tcp/22",
+            "measure Z1 -> Z2 : collect tcp/22", "qos Z1 -> Z2 : tcp/22 min 5MB/s",
+            "security Z1 -> Z3 : tcp/22", "qos Z2 -> Z1 : tcp/22 min 5MB/s",
+        ]
+        doc = parse_policy("\n".join(lines))
+        assert sorted(calls) == sorted({
+            (PolicyContext.SECURITY, "tcp/22"),
+            (PolicyContext.MEASUREMENT, "tcp/22"),
+            (PolicyContext.QOS, "tcp/22 min 5MB/s"),
+        })
+        assert list(doc.rules) == [parse_policy(line).rules[0] for line in lines]
+
+    def test_repeated_bad_value_fails_on_its_first_line(self):
+        text = "security Z1 -> Z2 : tcp/22\nsecurity Z1 -> Z3 : tcp/99999\nsecurity Z2 -> Z3 : tcp/99999\n"
+        with pytest.raises(PolicyParseError) as raised:
+            parse_policy(text)
+        assert raised.value.line_no == 2
+        assert str(raised.value) == "line 2: bad port range '99999'"
 
     def test_unrecognized_line(self):
         with pytest.raises(PolicyParseError, match="line 1"):
