@@ -116,18 +116,10 @@ def cmd_verify(args) -> int:
         lambda path: documents.load_assignments(Path(path).read_text(encoding="utf-8")),
     )
 
-    reports = []
-    for ctx in PolicyContext:
-        reports.append(
-            verify_assignments(
-                ctx,
-                policy_doc.rules_for(ctx),
-                astar,
-                model,
-                [a for a in existing if a.rule.context is ctx],
-            )
-        )
-    report = documents.merge_reports(reports)
+    report = documents.merge_reports([
+        verify_assignments(ctx, policy_doc.rules_for(ctx), astar, model, existing.select(ctx))
+        for ctx in PolicyContext
+    ])
     document = documents.verify_document(report)
     _emit(_render(document, documents.render_verify_text, args.format), args.out)
     return 0 if report.clean else 3

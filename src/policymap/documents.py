@@ -4,7 +4,9 @@ The structured forms are JSON-shaped trees with fixed field names; the
 map document doubles as the assignments file format for verification.
 All lists are sorted and all dict keys are emitted in sorted order, so
 every document is a deterministic function of its inputs.  Entries are
-written from mapper.Placements, reading each rule and each site once.
+written from mapper.Placements, reading each rule and each site once, and
+an assignments file is read back into one: a row per entry, over its
+distinct rules and sites.
 Rule values are printed and parsed by policy.py, in the policy file's
 grammar; this module has no value syntax.
 """
@@ -15,19 +17,13 @@ import json
 from typing import Sequence
 
 from .errors import AssignmentsError
-from .mapper import (
-    DIRECTIONS,
-    DeviceAssignment,
-    Placements,
-    PolicyDelta,
-    VerificationReport,
-)
+from .mapper import DIRECTIONS, Placements, PolicyDelta, Site, VerificationReport
 from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value_to_text
 
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
 
-def _assignment_from_dict(entry: dict, values: dict, rules: dict) -> DeviceAssignment:
+def _placement_from_dict(entry: dict, values: dict, rules: dict) -> tuple[PolicyRule, Site]:
     fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:
         is_ascii = "".join(fields).isascii()
@@ -48,7 +44,7 @@ def _assignment_from_dict(entry: dict, values: dict, rules: dict) -> DeviceAssig
             rule = rules[context, src, dst, value] = PolicyRule(src, dst, values[context, value])
         if direction not in DIRECTIONS:
             raise ValueError(f"{direction!r} is not a valid Direction")
-        return DeviceAssignment(device, interface, DIRECTIONS[direction], rule)
+        return rule, (device, interface, direction)
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
 
@@ -86,8 +82,9 @@ def map_document(placements: Placements) -> dict:
     return {"assignments": _entries(placements, fields, placements.order()), "by_device": tree}
 
 
-def load_assignments(text: str) -> list[DeviceAssignment]:
-    """Read an assignments file (the map document, or a bare entry list)."""
+def load_assignments(text: str) -> Placements:
+    """Read an assignments file (the map document, or a bare entry list): one
+    row per entry, in file order."""
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -105,7 +102,7 @@ def load_assignments(text: str) -> list[DeviceAssignment]:
     # One file repeats few values and rules; build each distinct one once.
     values: dict = {}
     rules: dict = {}
-    return [_assignment_from_dict(entry, values, rules) for entry in entries]
+    return Placements.of(_placement_from_dict(entry, values, rules) for entry in entries)
 
 
 def delta_to_dict(delta: PolicyDelta) -> dict:
@@ -119,11 +116,11 @@ def delta_to_dict(delta: PolicyDelta) -> dict:
 
 
 def verify_document(report: VerificationReport) -> dict:
-    placements = Placements.of(finding.assignment for finding in report.findings)
+    placements = report.findings
     order = placements.order()
     findings = _entries(placements, _rule_fields(placements), order)
     for entry, i in zip(findings, order):
-        entry["classification"] = report.findings[i].classification.value
+        entry["classification"] = report.classes[i].value
     delta_key = lambda e: (e["context"], e["src"], e["dst"])
     return {
         "clean": report.clean,
@@ -138,7 +135,10 @@ def verify_document(report: VerificationReport) -> dict:
 
 def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
     return VerificationReport(
-        findings=tuple(f for r in reports for f in r.findings),
+        findings=Placements.of(
+            (f.rules[r], f.sites[s]) for f in (rep.findings for rep in reports) for r, s in f.rows
+        ),
+        classes=tuple(c for r in reports for c in r.classes),
         deltas=tuple(d for r in reports for d in r.deltas),
         overprovisioned=tuple(d for r in reports for d in r.overprovisioned),
     )

@@ -13,12 +13,16 @@ Each placement is one (device, interface, direction) site for a rule.  By
 default a directed device receives its rule inbound on the ingress
 interface; the egress-outbound convention is equivalent, since either one
 filters source-to-destination traffic at that device, and auditing
-accepts both.  ``map_rules`` returns ``Placements``, (rule, site) rows of
-ints over a rule table and a site table, so that the documents read each
-rule and each site once; ``map_policy`` returns sorted ``DeviceAssignment``s.
+accepts both.  Placements are held as ``Placements``, (rule, site) rows of
+ints over a rule table and a site table of plain (device, interface,
+direction) strings: ``map_rules`` returns them, ``verify_assignments``
+audits them, and the documents read each rule and each site once.
+``DeviceAssignment`` is the library's object view of one row:
+``map_policy`` returns them sorted, and ``verify_assignments`` also
+accepts them.
 
-Auditing classifies every existing assignment against the computed paths
-for its rule's zone pair:
+Auditing classifies every existing placement against the computed paths
+for its rule's zone pair, each distinct (rule, site) row once:
 
 * incorrect-firewall: the device occurs in no path (no interface of it
   could realize the filtering);
@@ -89,37 +93,43 @@ class DeviceAssignment:
     rule: PolicyRule
 
     @property
-    def site(self) -> tuple[str, str, Direction]:
-        return self.device_id, self.interface, self.direction
+    def site(self) -> Site:
+        return self.device_id, self.interface, self.direction.value
 
+
+# A (device_id, interface, direction value) site, in plain strings.
+Site = tuple[str, str, str]
 
 # Each Direction by its value, read without an Enum call.
 DIRECTIONS = {direction.value: direction for direction in Direction}
+INBOUND, OUTBOUND = Direction.INBOUND.value, Direction.OUTBOUND.value
 
 
+@dataclass(slots=True)
 class Placements:
     """Rows of (rule index, site index), with multiplicity and in input order,
-    over a table of distinct rules and a sorted table of plain (device_id,
-    interface, direction value) sites.  len() counts the rows; iterating
-    gives each as a DeviceAssignment, sorted by (context, src, dst,
-    device_id, interface, direction), with ties in row order."""
+    over a table of distinct rules and a sorted table of plain sites.
+    len() counts the rows; iterating gives each as a DeviceAssignment,
+    sorted by (context, src, dst, device_id, interface, direction), with
+    ties in row order."""
 
-    __slots__ = ("rules", "sites", "rows")
-
-    def __init__(self, rules, sites, rows):
-        self.rules, self.sites, self.rows = rules, sites, rows
+    rules: list[PolicyRule]
+    sites: list[Site]
+    rows: list[tuple[int, int]]
 
     @classmethod
-    def of(cls, assignments: Iterable[DeviceAssignment]) -> Placements:
-        """The placements of assignments, each distinct rule and site interned."""
+    def of(cls, placed: Iterable[tuple[PolicyRule, Site]]) -> Placements:
+        """The placements of (rule, site) pairs, each distinct rule and site interned."""
         ids: dict[PolicyRule, int] = {}
-        pairs = [
-            (ids.setdefault(a.rule, len(ids)), (a.device_id, a.interface, a.direction.value))
-            for a in assignments
-        ]
+        pairs = [(ids.setdefault(rule, len(ids)), site) for rule, site in placed]
         sites = sorted({site for _, site in pairs})
         site_ids = {site: s for s, site in enumerate(sites)}
         return cls(list(ids), sites, [(r, site_ids[site]) for r, site in pairs])
+
+    def select(self, ctx: PolicyContext) -> Placements:
+        """The rows whose rule is of ctx, in order, over the same tables."""
+        keep = [rule.context is ctx for rule in self.rules]
+        return Placements(self.rules, self.sites, [row for row in self.rows if keep[row[0]]])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -141,12 +151,6 @@ class Placements:
 
 
 @dataclass(frozen=True)
-class AssignmentFinding:
-    assignment: DeviceAssignment
-    classification: AssignmentClass
-
-
-@dataclass(frozen=True)
 class PolicyDelta:
     """A zone pair whose implemented policy violates the intended one."""
 
@@ -159,28 +163,24 @@ class PolicyDelta:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    findings: tuple[AssignmentFinding, ...]
+    # The audited placements, and the class of each of their rows.
+    findings: Placements
+    classes: tuple[AssignmentClass, ...]
     deltas: tuple[PolicyDelta, ...]
     # QoS pairs implemented above the intended guarantee (informational).
     overprovisioned: tuple[PolicyDelta, ...] = ()
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {cls.value: 0 for cls in AssignmentClass}
-        for finding in self.findings:
-            out[finding.classification.value] += 1
-        return out
+        return {cls.value: self.classes.count(cls) for cls in AssignmentClass}
 
     @property
     def error_count(self) -> int:
-        return sum(f.classification is not AssignmentClass.CORRECT for f in self.findings)
+        return len(self.classes) - self.classes.count(AssignmentClass.CORRECT)
 
     @property
     def clean(self) -> bool:
         return self.error_count == 0 and not self.deltas
-
-
-Site = tuple[str, str, Direction]
 
 
 def realizations(dev: DirectedDevice) -> tuple[Site, Site]:
@@ -188,8 +188,8 @@ def realizations(dev: DirectedDevice) -> tuple[Site, Site]:
     source-to-destination traffic: inbound on its ingress interface and
     outbound on its egress."""
     return (
-        (dev.device_id, dev.ingress_interface, Direction.INBOUND),
-        (dev.device_id, dev.egress_interface, Direction.OUTBOUND),
+        (dev.device_id, dev.ingress_interface, INBOUND),
+        (dev.device_id, dev.egress_interface, OUTBOUND),
     )
 
 
@@ -204,10 +204,9 @@ def map_rules(
     given order; any other error stops the walk."""
     side = 0 if convention is DirectionConvention.INGRESS_INBOUND else 1
     realized = [realizations(dev)[side] for dev in astar.table]
-    plain = [(device_id, interface, way.value) for device_id, interface, way in realized]
-    sites = sorted(set(plain))
+    sites = sorted(set(realized))
     site_ids = {site: s for s, site in enumerate(sites)}
-    site_of = [site_ids[site] for site in plain]
+    site_of = [site_ids[site] for site in realized]
     rule_ids: dict[PolicyRule, int] = {}
     rows: list[tuple[int, int]] = []
     unreachable: list[PolicyRule] = []
@@ -265,8 +264,8 @@ Realizers = dict[Site, list[int]]
 
 
 def realizer_index(sites: Sequence[tuple[Site, Site]], occurrences: Iterable[int]) -> Realizers:
-    """(device, interface, direction) -> the occurrences an assignment there
-    filters, as indices into a device table whose realizations are sites."""
+    """Site -> the occurrences a placement there filters, as indices into a
+    device table whose realizations are sites."""
     index: Realizers = {}
     for k in occurrences:
         for site in sites[k]:
@@ -274,16 +273,14 @@ def realizer_index(sites: Sequence[tuple[Site, Site]], occurrences: Iterable[int
     return index
 
 
-def classify_assignment(assignment: DeviceAssignment, index: Realizers) -> AssignmentClass:
-    """Class of one assignment, given the realizer index of its rule's zone pair."""
-    if assignment.site in index:
+def classify_site(site: Site, index: Realizers) -> AssignmentClass:
+    """Class of a placement at site, given the realizer index of its rule's zone pair."""
+    if site in index:
         return AssignmentClass.CORRECT
-    if all(device_id != assignment.device_id for device_id, _, _ in index):
+    device, interface, _ = site
+    if all(device_id != device for device_id, _, _ in index):
         return AssignmentClass.INCORRECT_FIREWALL
-    if all(
-        (device_id, interface) != (assignment.device_id, assignment.interface)
-        for device_id, interface, _ in index
-    ):
+    if all((device_id, name) != (device, interface) for device_id, name, _ in index):
         return AssignmentClass.INCORRECT_INTERFACE
     return AssignmentClass.INCORRECT_DIRECTION
 
@@ -293,33 +290,30 @@ def verify_assignments(
     rules: Sequence[PolicyRule],
     astar: PathMatrix,
     model: ZoneConduitModel,
-    existing: Sequence[DeviceAssignment],
+    existing: Placements | Iterable[DeviceAssignment],
 ) -> VerificationReport:
-    """Audit existing assignments of one context against the intended rules."""
+    """Audit existing placements of one context against the intended rules."""
+    if not isinstance(existing, Placements):
+        existing = Placements.of((a.rule, a.site) for a in existing)
     _check_context(ctx, "verification", rules)
-    _check_context(ctx, "verification", (a.rule for a in existing), "assignment")
+    placed, sites = existing.rules, existing.sites
+    # Each distinct row once, in the order it first appears.
+    distinct = dict.fromkeys(existing.rows)
+    pair_of = {r: (placed[r].src, placed[r].dst) for r, _ in distinct}
+    _check_context(ctx, "verification", (placed[r] for r in pair_of), "assignment")
     intended = {(rule.src, rule.dst): rule for rule in rules}
-    by_pair: dict[tuple[str, str], list[DeviceAssignment]] = {}
-    for assignment in existing:
-        by_pair.setdefault((assignment.rule.src, assignment.rule.dst), []).append(
-            assignment
-        )
+    by_pair: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for r, s in distinct:
+        by_pair.setdefault(pair_of[r], []).append((r, s))
 
     pairs = sorted(set(intended) | set(by_pair))
     zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
-    sites = list(map(realizations, astar.table))
+    realized = list(map(realizations, astar.table))
     # Occurrences in table order, so that device values compose, and raise,
     # in one order whatever the hash seed.
     occurrences = {pair: sorted(astar.occurrence_indices(i, j)) for pair, (i, j) in zones.items()}
-    indexes = {pair: realizer_index(sites, occurrences[pair]) for pair in zones}
-
-    findings = [
-        AssignmentFinding(
-            assignment,
-            classify_assignment(assignment, indexes[(assignment.rule.src, assignment.rule.dst)]),
-        )
-        for assignment in existing
-    ]
+    indexes = {pair: realizer_index(realized, occurrences[pair]) for pair in zones}
+    class_of = {(r, s): classify_site(sites[s], indexes[pair_of[r]]) for r, s in distinct}
 
     deltas = []
     overprovisioned = []
@@ -328,16 +322,16 @@ def verify_assignments(
         paths = astar.index_paths(i, j)
         if not paths:
             # Unreachable pair: nothing flows, so nothing to compare; any
-            # assignments here were already flagged incorrect-firewall.
+            # placements here were already flagged incorrect-firewall.
             continue
         index = indexes[(src, dst)]
-        # An assignment gives an occurrence its value only if it sits where
+        # A placement gives an occurrence its value only if it sits where
         # that orientation's traffic actually crosses the device.
         values: dict[int, list[PolicyValue]] = {k: [] for k in occurrences[(src, dst)]}
-        for assignment in by_pair.get((src, dst), ()):
-            for k in index.get(assignment.site, ()):
-                if assignment.rule.value not in values[k]:
-                    values[k].append(assignment.rule.value)
+        for r, s in by_pair.get((src, dst), ()):
+            for k in index.get(sites[s], ()):
+                if placed[r].value not in values[k]:
+                    values[k].append(placed[r].value)
         device_policies = {
             k: reduce(lambda p, q: compose_parallel(ctx, p, q), found) if found else default
             for k, found in values.items()
@@ -357,7 +351,8 @@ def verify_assignments(
             deltas.append(PolicyDelta(src, dst, ctx, wanted, derived))
 
     return VerificationReport(
-        findings=tuple(findings),
+        findings=existing,
+        classes=tuple(map(class_of.__getitem__, existing.rows)),
         deltas=tuple(deltas),
         overprovisioned=tuple(overprovisioned),
     )

@@ -236,6 +236,26 @@ class TestVerify:
             "(udp/53 vs tcp/80)\n"
         )
 
+    def test_unknown_zone_entries_exit_1_naming_the_first_audited(self, capsys, tmp_path):
+        # An unknown zone is malformed input, not a finding.  The audit
+        # takes security before measurement, so the later security entry's
+        # zone is the one named.
+        target = self._mapfile(capsys, tmp_path, POLICY_MIXED)
+        doc = json.loads(target.read_text())
+        entry = doc["assignments"][0]
+        doc["assignments"] = [
+            dict(entry, context="measurement", src="Z1", dst="Z7", value="udp/any"),
+            *doc["assignments"],
+            dict(entry, context="security", src="Z9", dst="Z3", value="tcp/22"),
+        ]
+        target.write_text(json.dumps(doc))
+        for fmt in ("text", "structured"):
+            code, out, err = run(
+                capsys, "verify", DIAMOND, POLICY_MIXED, str(target), "--format", fmt
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: UnknownZone: unknown zone 'Z9'\n"
+
     def test_malformed_assignments_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")
@@ -458,14 +478,12 @@ class TestPathObjects:
 
 
 class TestPlacementObjects:
-    """map and whatif hand map_rules' placement rows to the documents: they
-    build no DeviceAssignment."""
+    """map and whatif hand map_rules' placement rows to the documents, and
+    verify reads the assignments file into rows and audits those: none of
+    them builds a DeviceAssignment."""
 
-    @pytest.mark.parametrize(
-        "options",
-        [("map",), ("whatif", "--drop-device", "A", "--set-non-transitive", "Z2")],
-    )
-    def test_no_assignment_is_built(self, capsys, monkeypatch, options):
+    @staticmethod
+    def _count_assignments(monkeypatch) -> list:
         built = []
         init = DeviceAssignment.__init__
 
@@ -474,9 +492,37 @@ class TestPlacementObjects:
             init(assignment, *args)
 
         monkeypatch.setattr(DeviceAssignment, "__init__", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "options",
+        [("map",), ("whatif", "--drop-device", "A", "--set-non-transitive", "Z2")],
+    )
+    def test_no_assignment_is_built(self, capsys, monkeypatch, options):
+        built = self._count_assignments(monkeypatch)
         verb, *rest = options
         code, out, _ = run(capsys, verb, DIAMOND, POLICY_MIXED, *rest, "--format", "structured")
         assert code == 0 and json.loads(out)
+        assert built == []
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("faulted, exit_code", [(False, 0), (True, 3)])
+    def test_verify_builds_no_assignment(
+        self, capsys, monkeypatch, tmp_path, fmt, faulted, exit_code
+    ):
+        target = tmp_path / "map.json"
+        run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured", "--out", str(target))
+        if faulted:
+            # A wrong value, a wrong interface and a repeated entry.
+            doc = json.loads(target.read_text())
+            security = [e for e in doc["assignments"] if e["context"] == "security"]
+            security[0]["value"] = "tcp/22"
+            security[1]["interface"] = "e1"
+            doc["assignments"].append(security[1])
+            target.write_text(json.dumps(doc))
+        built = self._count_assignments(monkeypatch)
+        code, out, _ = run(capsys, "verify", DIAMOND, POLICY_MIXED, str(target), "--format", fmt)
+        assert code == exit_code and out
         assert built == []
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -22,9 +23,10 @@ from policymap.closure import (
     matrix_union,
     right_iterate,
 )
-from policymap.documents import map_document
+from policymap.documents import load_assignments, map_document
 from policymap.errors import DimensionMismatch, PolicymapError
 from policymap.mapper import (
+    AssignmentClass,
     Direction,
     DirectionConvention,
     MeasurementStrategy,
@@ -33,7 +35,7 @@ from policymap.mapper import (
     realizations,
     verify_assignments,
 )
-from policymap.policy import PolicyContext
+from policymap.policy import PolicyContext, value_to_text
 from policymap.topology import (
     NetworkTopology,
     TopologyLink,
@@ -322,13 +324,17 @@ class TestCompactCells:
                         expected |= {(rule, realizations(closure.table[k])[side]) for k in targets}
                     assert unreachable == []
                     assert len(placements) == len(expected)
-                    assert {(a.rule, a.site) for a in placements} == expected
+                    assert {
+                        (placements.rules[r], placements.sites[s]) for r, s in placements.rows
+                    } == expected
                     ordered = list(placements)
                     assert ordered == sorted(ordered, key=lambda a: (
                         a.rule.context.value, a.rule.src, a.rule.dst,
                         a.device_id, a.interface, a.direction.value,
                     ))
-                    assert map_document(placements) == map_document(Placements.of(ordered))
+                    assert map_document(placements) == map_document(
+                        Placements.of((a.rule, a.site) for a in ordered)
+                    )
 
     @pytest.mark.parametrize(
         "models", [random_models, whatif_variant_models, sparse_sixty_models]
@@ -379,3 +385,83 @@ class TestCompactCells:
                 assert outcome(verify_assignments, ctx, rules, closure, model, existing) == (
                     outcome(verify_assignments, ctx, rules, oracle, model, existing)
                 )
+
+
+class TestRowAudit:
+    """verify's audit of an assignments file's rows classifies every entry
+    as the per-entry rule does: the occurrences of its rule's zone pair and
+    the sites that realize them."""
+
+    @staticmethod
+    def reference_class(closure, model, entry) -> str:
+        i, j = model.zone_index(entry["src"]), model.zone_index(entry["dst"])
+        realizing = {
+            site for k in closure.occurrence_indices(i, j) for site in realizations(closure.table[k])
+        }
+        site = (entry["device"], entry["interface"], entry["direction"])
+        if site in realizing:
+            return "correct"
+        if site[0] not in {device for device, _, _ in realizing}:
+            return "incorrect_firewall"
+        if site[:2] not in {(device, interface) for device, interface, _ in realizing}:
+            return "incorrect_interface"
+        return "incorrect_direction"
+
+    def test_row_classes_match_per_entry_classes(self):
+        rng = random.Random(0xA0D)
+        unreachable_entries = duplicates = 0
+        seen = set()
+        for model in random_models():
+            closure = right_iterate(*am_tm(model))
+            rules = [rule for ctx in PolicyContext for rule in random_rules(rng, model, ctx)]
+            every_site = [site for dev in closure.table for site in realizations(dev)]
+            names = [zone.name for zone in model.zones]
+            unreachable = [
+                (names[i], names[j])
+                for i in range(model.n)
+                for j in range(model.n)
+                if i != j and not closure.occurrence_indices(i, j)
+            ]
+            for convention in DirectionConvention:
+                placements, _ = map_rules(rules, closure, model, convention)
+                entries = []
+                for entry in map_document(placements)["assignments"]:
+                    if rng.random() < 0.1:
+                        continue
+                    if rng.random() < 0.3:
+                        device, interface, direction = rng.choice(every_site)
+                        entry.update(device=device, interface=interface, direction=direction)
+                    entries.append(entry)
+                    if rng.random() < 0.1:
+                        entries.append(dict(entry))
+                        duplicates += 1
+                for src, dst in rng.sample(unreachable, min(2, len(unreachable))):
+                    ctx = rng.choice(list(PolicyContext))
+                    value = value_to_text(random_value(rng, ctx))
+                    device, interface, direction = rng.choice(every_site)
+                    entries.append({
+                        "device": device, "interface": interface, "direction": direction,
+                        "context": ctx.value, "src": src, "dst": dst, "value": value,
+                    })
+                    unreachable_entries += 1
+                rng.shuffle(entries)
+
+                loaded = load_assignments(json.dumps(entries))
+                # One row per entry, in file order, duplicates kept.
+                assert len(loaded) == len(entries)
+                assert [loaded.sites[s] for _, s in loaded.rows] == [
+                    (e["device"], e["interface"], e["direction"]) for e in entries
+                ]
+                for ctx in PolicyContext:
+                    selected = loaded.select(ctx)
+                    ctx_rules = [rule for rule in rules if rule.context is ctx]
+                    report = verify_assignments(ctx, ctx_rules, closure, model, selected)
+                    assert report.findings == selected
+                    seen.update(cls.value for cls in report.classes)
+                    assert [cls.value for cls in report.classes] == [
+                        self.reference_class(closure, model, entry)
+                        for entry in entries
+                        if entry["context"] == ctx.value
+                    ]
+        assert unreachable_entries and duplicates
+        assert seen == {cls.value for cls in AssignmentClass}

@@ -14,10 +14,10 @@ from policymap.documents import (
 )
 from policymap.errors import AssignmentsError
 from policymap.mapper import (
-    DeviceAssignment,
-    Direction,
     Placements,
     map_policy,
+    map_rules,
+    require_reachable,
     verify_assignments,
 )
 from policymap.policy import (
@@ -70,13 +70,13 @@ class TestValueText:
 class TestAssignmentsIO:
     def test_dict_round_trip(self):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
-        assignment = DeviceAssignment("A", "e0", Direction.INBOUND, rule)
-        entries = map_document(Placements.of([assignment]))["assignments"]
+        placements = Placements.of([(rule, ("A", "e0", "inbound"))])
+        entries = map_document(placements)["assignments"]
         assert entries == [
             {"device": "A", "interface": "e0", "direction": "inbound",
              "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}
         ]
-        assert load_assignments(json.dumps(entries)) == [assignment]
+        assert load_assignments(json.dumps(entries)) == placements
 
     @staticmethod
     def _entries(*values):
@@ -104,7 +104,12 @@ class TestAssignmentsIO:
             (PolicyContext.MEASUREMENT, "tcp/22"),
             (PolicyContext.QOS, "tcp/22 min 5MB/s"),
         })
-        assert loaded == [load_assignments(json.dumps([entry]))[0] for entry in entries]
+        # One row per entry, in file order, over the three distinct rules.
+        assert len(loaded.rules) == 3
+        singles = [load_assignments(json.dumps([entry])) for entry in entries]
+        assert [(loaded.rules[r], loaded.sites[s]) for r, s in loaded.rows] == [
+            (single.rules[0], single.sites[0]) for single in singles
+        ]
 
     def test_repeated_bad_value_fails_on_its_first_entry(self):
         entries = self._entries(
@@ -191,34 +196,31 @@ class TestVerifyDocument:
         ssh, http = PolicyRule("Z1", "Z3", SecurityValue(SSH)), PolicyRule(
             "Z1", "Z3", SecurityValue(ServiceSet.from_ranges([("tcp", 80, 80)]))
         )
-        inbound, outbound = Direction.INBOUND, Direction.OUTBOUND
-        existing = [
-            DeviceAssignment("F", "e1", inbound, http),
-            DeviceAssignment("A", "e0", inbound, ssh),
-            DeviceAssignment("A", "e0", inbound, http),
-            DeviceAssignment("F", "e1", inbound, ssh),
-            DeviceAssignment("A", "e1", outbound, http),
-            DeviceAssignment("A", "e0", inbound, ssh),
-            DeviceAssignment("A", "e0", outbound, ssh),
+        placed = [
+            (http, ("F", "e1", "inbound")),
+            (ssh, ("A", "e0", "inbound")),
+            (http, ("A", "e0", "inbound")),
+            (ssh, ("F", "e1", "inbound")),
+            (http, ("A", "e1", "outbound")),
+            (ssh, ("A", "e0", "inbound")),
+            (ssh, ("A", "e0", "outbound")),
         ]
         report = verify_assignments(
-            PolicyContext.SECURITY, [ssh], diamond_astar, diamond_model, existing
+            PolicyContext.SECURITY, [ssh], diamond_astar, diamond_model, Placements.of(placed)
         )
+        findings = report.findings
+        # One finding per entry, in the order given.
+        assert [(findings.rules[r], findings.sites[s]) for r, s in findings.rows] == placed
+        assert len(report.classes) == len(placed)
         expected = sorted(
-            report.findings,
-            key=lambda f: (
-                f.assignment.rule.context.value, f.assignment.rule.src, f.assignment.rule.dst,
-                f.assignment.device_id, f.assignment.interface, f.assignment.direction.value,
-            ),
+            ((rule, site, cls) for (rule, site), cls in zip(placed, report.classes)),
+            key=lambda f: (f[0].context.value, f[0].src, f[0].dst, *f[1]),
         )
         assert [
             (e["device"], e["interface"], e["direction"], e["value"], e["classification"])
             for e in verify_document(report)["findings"]
         ] == [
-            (a.device_id, a.interface, a.direction.value, value_to_text(a.rule.value),
-             f.classification.value)
-            for f in expected
-            for a in [f.assignment]
+            (*site, value_to_text(rule.value), cls.value) for rule, site, cls in expected
         ]
         assert [e["value"] for e in verify_document(report)["findings"][:3]] == [
             "tcp/22", "tcp/80", "tcp/22"
@@ -226,8 +228,8 @@ class TestVerifyDocument:
 
     def test_by_device_tree_shape(self, diamond_model, diamond_astar):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
-        assignments = map_policy(PolicyContext.SECURITY, [rule], diamond_astar, diamond_model)
-        tree = map_document(Placements.of(assignments))["by_device"]
+        placements = require_reachable(map_rules([rule], diamond_astar, diamond_model))
+        tree = map_document(placements)["by_device"]
         assert tree["F"]["e1"]["inbound"] == ["security Z1 -> Z3 : tcp/22"]
 
     def test_by_device_lines_parse_back(self, diamond_model, diamond_astar):
@@ -236,14 +238,10 @@ class TestVerifyDocument:
             PolicyRule("Z1", "Z3", QosValue(Fraction(1, 3), SSH)),
             PolicyRule("Z2", "Z4", MeasurementValue(SSH)),
         ]
-        assignments = [
-            a
-            for rule in rules
-            for a in map_policy(rule.context, [rule], diamond_astar, diamond_model)
-        ]
+        placements = require_reachable(map_rules(rules, diamond_astar, diamond_model))
         lines = {
             line
-            for interfaces in map_document(Placements.of(assignments))["by_device"].values()
+            for interfaces in map_document(placements)["by_device"].values()
             for directions in interfaces.values()
             for rule_lines in directions.values()
             for line in rule_lines
