@@ -136,6 +136,23 @@ def steps_key(steps: Steps):
     )
 
 
+def _broken_rule(steps: Steps) -> int | str | None:
+    """The first of the three validity rules that steps break, or None for a
+    valid path: the index k of a step that does not chain to step k + 1,
+    "zone revisited" or "physical device reused"."""
+    for k in range(len(steps) - 1):
+        if steps[k].to_zone != steps[k + 1].from_zone:
+            return k
+    if steps:
+        zones = [steps[0].from_zone, *(s.to_zone for s in steps)]
+        if len(set(zones)) != len(zones):
+            return "zone revisited"
+    ids = [s.device_id for s in steps]
+    if len(set(ids)) != len(ids):
+        return "physical device reused"
+    return None
+
+
 @dataclass(frozen=True)
 class DevicePath:
     """A validity-checked sequence of directed devices; () is the empty path."""
@@ -143,18 +160,12 @@ class DevicePath:
     steps: tuple[DirectedDevice, ...] = ()
 
     def __post_init__(self):
-        steps = self.steps
-        for k in range(len(steps) - 1):
-            if steps[k].to_zone != steps[k + 1].from_zone:
-                raise ValueError(
-                    f"broken chaining at step {k}: {steps[k].text()} then {steps[k + 1].text()}"
-                )
-        zones = self.zone_sequence()
-        if len(set(zones)) != len(zones):
-            raise ValueError(f"zone revisited in path {''.join(s.text() for s in steps)}")
-        ids = [s.device_id for s in steps]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"physical device reused in path {''.join(s.text() for s in steps)}")
+        broken = _broken_rule(self.steps)
+        if isinstance(broken, int):
+            before, after = self.steps[broken : broken + 2]
+            raise ValueError(f"broken chaining at step {broken}: {before.text()} then {after.text()}")
+        if broken is not None:
+            raise ValueError(f"{broken} in path {self.text()}")
 
     def zone_sequence(self) -> tuple[int, ...]:
         if not self.steps:
@@ -223,10 +234,10 @@ def concat_path(a: DevicePath, b: DevicePath) -> Optional[DevicePath]:
         return b
     if not b.steps:
         return a
-    try:
-        return DevicePath(a.steps + b.steps)
-    except ValueError:
+    steps = a.steps + b.steps
+    if _broken_rule(steps) is not None:
         return INVALID
+    return DevicePath(steps)
 
 
 def concat_sets(a: PathSet, b: PathSet) -> PathSet:

@@ -3,10 +3,12 @@
 The structured forms are JSON-shaped trees with fixed field names; the
 map document doubles as the assignments file format for verification.
 All lists are sorted and all dict keys are emitted in sorted order, so
-every document is a deterministic function of its inputs.  Entries are
-written from mapper.Placements, reading each rule and each site once, and
-an assignments file is read back into one: a row per entry, over its
-distinct rules and sites.
+every document is a deterministic function of its inputs.  An entry list
+is an Entries over mapper.Placements rows: a read-only sequence of entry
+dicts, built only when read, that to_json writes from the rule and site
+tables with one format string per entry shape (json.dumps needs it as a
+list).  An assignments file is read back into a Placements: a row per
+entry, over its distinct rules and sites.
 Rule values are printed and parsed by policy.py, in the policy file's
 grammar; this module has no value syntax.
 """
@@ -14,7 +16,7 @@ grammar; this module has no value syntax.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import AssignmentsError
 from .mapper import DIRECTIONS, Placements, PolicyDelta, Site, VerificationReport
@@ -61,11 +63,63 @@ def _rule_fields(placements: Placements) -> list[tuple[str, str, str, str]]:
     return fields
 
 
-def _entries(placements: Placements, fields: list, order: list[int]) -> list[dict]:
-    """The entries of placements' rows, in order; fields as _rule_fields gives them."""
-    sites = [{"device": d, "interface": i, "direction": w} for d, i, w in placements.sites]
-    rules = [{"context": c, "src": src, "dst": dst, "value": v} for c, src, dst, v in fields]
-    return [sites[s] | rules[r] for r, s in map(placements.rows.__getitem__, order)]
+class Entries(Sequence):
+    """A document's entry list: one entry per row of placements, in document
+    order, with the seven assignment fields and, when classes (one per row of
+    placements) are given, a "classification".  Read-only; indexing or
+    iterating builds an entry dict, a slice is a list of them, and == compares
+    as a list with any sequence.  to_json writes it from the rule and site
+    tables, with no entry dict; json.dumps needs list(entries)."""
+
+    __slots__ = ("rows", "rules", "sites", "classes")
+
+    def __init__(self, placements: Placements, fields: list, classes=None):
+        order = placements.order()
+        self.rows = list(map(placements.rows.__getitem__, order))
+        self.rules = fields  # as _rule_fields gives them
+        self.sites = placements.sites
+        self.classes = None if classes is None else list(map(classes.__getitem__, order))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        r, s = self.rows[i]
+        entry = dict(zip(_FIELDS, self.sites[s] + self.rules[r]))
+        if self.classes is not None:
+            entry["classification"] = self.classes[i].value
+        return entry
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Entries({list(self)!r})"
+
+    def json(self, newline: str) -> str:
+        """The list's JSON as to_json writes it, with newline at its indentation."""
+        if not self.rows:
+            return "[]"
+        inner = newline + "  "
+        keys = _FIELDS if self.classes is None else (*_FIELDS, "classification")
+        # One placeholder per field, numbered by its place in keys.
+        body = ",".join(f"{inner}  {_quote(key)}: {{{keys.index(key)}}}" for key in sorted(keys))
+        template = f"{inner}{{{{{body}{inner}}}}}".format
+        sites = [tuple(map(_quote, site)) for site in self.sites]
+        rules = [tuple(map(_quote, fields)) for fields in self.rules]
+        if self.classes is None:
+            items = [template(*sites[s], *rules[r]) for r, s in self.rows]
+        else:
+            quoted = {cls: _quote(cls.value) for cls in set(self.classes)}
+            items = [
+                template(*sites[s], *rules[r], quoted[cls])
+                for (r, s), cls in zip(self.rows, self.classes)
+            ]
+        return "[" + ",".join(items) + newline + "]"
 
 
 def map_document(placements: Placements) -> dict:
@@ -79,7 +133,7 @@ def map_document(placements: Placements) -> dict:
     for (device, interface, direction), site_lines in zip(placements.sites, at_site):
         if site_lines:
             tree.setdefault(device, {}).setdefault(interface, {})[direction] = sorted(site_lines)
-    return {"assignments": _entries(placements, fields, placements.order()), "by_device": tree}
+    return {"assignments": Entries(placements, fields), "by_device": tree}
 
 
 def load_assignments(text: str) -> Placements:
@@ -117,15 +171,11 @@ def delta_to_dict(delta: PolicyDelta) -> dict:
 
 def verify_document(report: VerificationReport) -> dict:
     placements = report.findings
-    order = placements.order()
-    findings = _entries(placements, _rule_fields(placements), order)
-    for entry, i in zip(findings, order):
-        entry["classification"] = report.classes[i].value
     delta_key = lambda e: (e["context"], e["src"], e["dst"])
     return {
         "clean": report.clean,
         "counts": report.counts,
-        "findings": findings,
+        "findings": Entries(placements, _rule_fields(placements), report.classes),
         "policy_deltas": sorted((delta_to_dict(d) for d in report.deltas), key=delta_key),
         "overprovisioned": sorted(
             (delta_to_dict(d) for d in report.overprovisioned), key=delta_key
@@ -134,10 +184,16 @@ def verify_document(report: VerificationReport) -> dict:
 
 
 def merge_reports(reports: Sequence[VerificationReport]) -> VerificationReport:
+    """One report of reports' findings, in turn; rows over tables the findings
+    all share (as the selections of one loaded file do) are concatenated."""
+    parts = [report.findings for report in reports]
+    first = parts[0] if parts else Placements([], [], [])
+    if all(p.rules is first.rules and p.sites is first.sites for p in parts):
+        findings = Placements(first.rules, first.sites, [row for p in parts for row in p.rows])
+    else:
+        findings = Placements.of((p.rules[r], p.sites[s]) for p in parts for r, s in p.rows)
     return VerificationReport(
-        findings=Placements.of(
-            (f.rules[r], f.sites[s]) for f in (rep.findings for rep in reports) for r, s in f.rows
-        ),
+        findings=findings,
         classes=tuple(c for r in reports for c in r.classes),
         deltas=tuple(d for r in reports for d in r.deltas),
         overprovisioned=tuple(d for r in reports for d in r.overprovisioned),
@@ -171,8 +227,8 @@ def diff_document(
         return [{"context": c, "src": s, "dst": d} for c, s, d in keys]
 
     return {
-        "removed": _entries(removed, _rule_fields(removed), removed.order()),
-        "added": _entries(added, _rule_fields(added), added.order()),
+        "removed": Entries(removed, _rule_fields(removed)),
+        "added": Entries(added, _rule_fields(added)),
         "new_unreachable": pairs(after_un - before_un),
         "resolved_unreachable": pairs(before_un - after_un),
     }
@@ -180,7 +236,8 @@ def diff_document(
 
 def to_json(document: dict) -> str:
     """json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n", byte for
-    byte, on dicts with str keys, lists, strs, bools and ints, without its pure-Python encoder."""
+    byte, on dicts with str keys, lists, strs, bools and ints, and Entries taken as lists,
+    without its pure-Python encoder."""
     chunks: list[str] = []
     _write(document, "\n", chunks.append)
     chunks.append("\n")
@@ -216,6 +273,8 @@ def _write(value, newline: str, out) -> None:
             _write(item, inner, out)
             sep = ","
         out(newline + "]" if value else "[]")
+    elif isinstance(value, Entries):
+        out(value.json(newline))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

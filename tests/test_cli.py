@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from policymap import documents
 from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
@@ -510,20 +511,59 @@ class TestPlacementObjects:
     def test_verify_builds_no_assignment(
         self, capsys, monkeypatch, tmp_path, fmt, faulted, exit_code
     ):
-        target = tmp_path / "map.json"
-        run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured", "--out", str(target))
-        if faulted:
-            # A wrong value, a wrong interface and a repeated entry.
-            doc = json.loads(target.read_text())
-            security = [e for e in doc["assignments"] if e["context"] == "security"]
-            security[0]["value"] = "tcp/22"
-            security[1]["interface"] = "e1"
-            doc["assignments"].append(security[1])
-            target.write_text(json.dumps(doc))
+        target = _write_map(capsys, tmp_path / "map.json", faulted)
         built = self._count_assignments(monkeypatch)
         code, out, _ = run(capsys, "verify", DIAMOND, POLICY_MIXED, str(target), "--format", fmt)
         assert code == exit_code and out
         assert built == []
+
+
+def _write_map(capsys, target: Path, faulted: bool) -> Path:
+    """The mixed diamond policy's map at target; faulted, it has a wrong
+    value, a wrong interface and a repeated entry."""
+    run(capsys, "map", DIAMOND, POLICY_MIXED, "--format", "structured", "--out", str(target))
+    if faulted:
+        doc = json.loads(target.read_text())
+        security = [e for e in doc["assignments"] if e["context"] == "security"]
+        security[0]["value"] = "tcp/22"
+        security[1]["interface"] = "e1"
+        doc["assignments"].append(security[1])
+        target.write_text(json.dumps(doc))
+    return target
+
+
+class TestEntryLists:
+    """Structured output writes each entry list from its rows, with no entry
+    dict; the text renderers read the same lists by iterating them."""
+
+    @pytest.mark.parametrize(
+        "options, exit_code, render",
+        [
+            (("map",), 0, documents.render_map_text),
+            (("verify", "{map}"), 3, documents.render_verify_text),
+            (("whatif", "--drop-device", "A", "--set-non-transitive", "Z2"), 0,
+             documents.render_diff_text),
+        ],
+    )
+    def test_structured_output_builds_no_entry(
+        self, capsys, monkeypatch, tmp_path, options, exit_code, render
+    ):
+        target = str(_write_map(capsys, tmp_path / "map.json", True))
+        verb, *rest = options
+        argv = [verb, DIAMOND, POLICY_MIXED, *(target if arg == "{map}" else arg for arg in rest)]
+        read = []
+        getitem = documents.Entries.__getitem__
+
+        def counting(entries, i):
+            read.append(i)
+            return getitem(entries, i)
+
+        monkeypatch.setattr(documents.Entries, "__getitem__", counting)
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == exit_code and read == []
+        text_code, text, _ = run(capsys, *argv, "--format", "text")
+        assert text_code == code and read
+        assert text == render(json.loads(out))
 
 
 def _graphml_of(topology) -> str:

@@ -23,7 +23,13 @@ from policymap.closure import (
     matrix_union,
     right_iterate,
 )
-from policymap.documents import load_assignments, map_document
+from policymap.documents import (
+    load_assignments,
+    map_document,
+    merge_reports,
+    to_json,
+    verify_document,
+)
 from policymap.errors import DimensionMismatch, PolicymapError
 from policymap.mapper import (
     AssignmentClass,
@@ -452,10 +458,12 @@ class TestRowAudit:
                 assert [loaded.sites[s] for _, s in loaded.rows] == [
                     (e["device"], e["interface"], e["direction"]) for e in entries
                 ]
+                reports = []
                 for ctx in PolicyContext:
                     selected = loaded.select(ctx)
                     ctx_rules = [rule for rule in rules if rule.context is ctx]
                     report = verify_assignments(ctx, ctx_rules, closure, model, selected)
+                    reports.append(report)
                     assert report.findings == selected
                     seen.update(cls.value for cls in report.classes)
                     assert [cls.value for cls in report.classes] == [
@@ -463,5 +471,14 @@ class TestRowAudit:
                         for entry in entries
                         if entry["context"] == ctx.value
                     ]
+                # The reports share the file's tables, so the merge keeps them;
+                # its document is the one of the rows interned afresh.
+                merged = merge_reports(reports)
+                assert merged.findings.rules is loaded.rules
+                interned = replace(merged, findings=Placements.of(
+                    (f.rules[r], f.sites[s]) for f in (rep.findings for rep in reports)
+                    for r, s in f.rows
+                ))
+                assert to_json(verify_document(merged)) == to_json(verify_document(interned))
         assert unreachable_entries and duplicates
         assert seen == {cls.value for cls in AssignmentClass}

@@ -14,6 +14,7 @@ from policymap.documents import (
 )
 from policymap.errors import AssignmentsError
 from policymap.mapper import (
+    AssignmentClass,
     Placements,
     map_policy,
     map_rules,
@@ -76,7 +77,8 @@ class TestAssignmentsIO:
             {"device": "A", "interface": "e0", "direction": "inbound",
              "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}
         ]
-        assert load_assignments(json.dumps(entries)) == placements
+        # An entry list is a read-only sequence; json.dumps takes it as a list.
+        assert load_assignments(json.dumps(list(entries))) == placements
 
     @staticmethod
     def _entries(*values):
@@ -264,6 +266,32 @@ _DOCUMENTS = st.recursive(
 )
 
 
+@st.composite
+def _entry_lists(draw):
+    """An entry list of either shape over drawn rule and site tables, with
+    repeated rows or none."""
+    fields = draw(st.lists(st.tuples(_TEXT, _TEXT, _TEXT, _TEXT), min_size=1, max_size=2))
+    # The rules only order the rows; the entries read fields.
+    rules = [PolicyRule(f"Z{k}", "Z", SecurityValue(SSH)) for k in range(len(fields))]
+    sites = draw(st.lists(st.tuples(_TEXT, _TEXT, _TEXT), min_size=1, max_size=2))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, len(rules) - 1), st.integers(0, len(sites) - 1)), max_size=6
+    ))
+    classes = draw(st.none() | st.lists(
+        st.sampled_from(AssignmentClass), min_size=len(rows), max_size=len(rows)
+    ))
+    return documents.Entries(Placements(rules, sites, rows), fields, classes)
+
+
+def _plain(value):
+    """value with each entry list made a list."""
+    if isinstance(value, documents.Entries):
+        return list(value)
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 class TestToJson:
     """to_json writes what json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False) writes, plus a newline."""
@@ -273,6 +301,20 @@ class TestToJson:
     def test_equals_json_dumps(self, document):
         expected = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
         assert documents.to_json(document) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(_TEXT, _TEXT | st.integers(), max_size=1),
+        _TEXT,
+        _entry_lists(),
+    )
+    def test_entry_lists_equal_json_dumps_of_their_lists(self, document, key, entries):
+        # The one list at depth 1 and inside nested dicts.
+        document["entries"] = entries
+        document["nested"] = {key: {key: entries}}
+        expected = json.dumps(_plain(document), indent=2, sort_keys=True, ensure_ascii=False)
+        assert documents.to_json(document) == expected + "\n"
+        assert entries == list(entries) == entries[:] and entries == tuple(entries)
 
     @pytest.mark.parametrize("value", [1.5, None, (1,), {1: "a"}, {"a": {"b": [object()]}}])
     def test_other_types_raise_type_error(self, value):
