@@ -23,14 +23,16 @@ of such sets indexed by zone.  It numbers its directed devices once, in
 canonical order, and holds each path as a tuple of those numbers; a
 cell's PathSet, each path a checked DevicePath, is built only when read.
 All closure computation in this package is built on that algebra;
-everything here is immutable, but for a PathMatrix's idempotent cell
-caches, and safe to share between threads.
+everything here is immutable, but for a PathMatrix's memo of idempotent
+values, and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
+
+T = TypeVar("T")
 
 # Marker returned by concat_path for a product that is not a valid path.
 # It is a lawful value of the algebra (the path-level analogue of the
@@ -273,6 +275,17 @@ def device_key(dev: DirectedDevice):
     )
 
 
+def mask_indices(mask: int) -> list[int]:
+    """The positions of mask's set bits, in ascending order: the table
+    indices of a mask over a PathMatrix's table."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
 class PathMatrix:
     """Square matrix of path sets indexed by zone, held as tuples of ints.
 
@@ -284,8 +297,10 @@ class PathMatrix:
     index_paths(i, j) gives the stored int tuples, in no promised order,
     and occurrence_indices the indices on them.  cell(i, j) maps the
     indices back to directed devices and builds its PathSet, each path
-    checked by DevicePath, on first request.  Each cache entry is built
-    once per cell; readers racing on a cell build equal values.
+    checked by DevicePath, on first request.  Both are kept in memo, the
+    matrix's one cache, where a reader of the matrix may keep what it
+    derives from it (the mapper keeps its audit masks there).  Each entry
+    is built once; readers racing on an entry build equal values.
     """
 
     def __init__(
@@ -295,7 +310,7 @@ class PathMatrix:
             raise ValueError("matrix is not square")
         self._rows = rows
         self.table = tuple(table)
-        self._built: dict = {}
+        self._memo: dict = {}
 
     @classmethod
     def build(cls, n: int, cell: Callable[[int, int], PathSet]) -> "PathMatrix":
@@ -314,13 +329,14 @@ class PathMatrix:
             ],
             table,
         )
-        matrix._built.update(cells)
+        matrix._memo.update(cells)
         return matrix
 
-    def _build(self, what: str, i: int, j: int, build: Callable):
-        value = self._built.get((what, i, j))
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """The value kept under key, build() on its first request."""
+        value = self._memo.get(key)
         if value is None:
-            value = self._built[what, i, j] = build(self._rows[i][j])
+            value = self._memo[key] = build()
         return value
 
     @property
@@ -331,13 +347,14 @@ class PathMatrix:
         return self._rows[i][j]
 
     def occurrence_indices(self, i: int, j: int) -> frozenset[int]:
-        return self._build("occurrences", i, j, lambda paths: frozenset().union(*paths))
+        paths = self._rows[i][j]
+        return self.memo(("occurrences", i, j), lambda: frozenset().union(*paths))
 
     def cell(self, i: int, j: int) -> PathSet:
-        step = self.table.__getitem__
-        return self._build(
-            "cell", i, j,
-            lambda paths: PathSet(frozenset(DevicePath(tuple(map(step, p))) for p in paths)),
+        paths, step = self._rows[i][j], self.table.__getitem__
+        return self.memo(
+            ("cell", i, j),
+            lambda: PathSet(frozenset(DevicePath(tuple(map(step, p))) for p in paths)),
         )
 
     def __eq__(self, other) -> bool:

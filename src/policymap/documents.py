@@ -16,6 +16,7 @@ grammar; this module has no value syntax.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Sequence
 
 from .errors import AssignmentsError
@@ -25,37 +26,80 @@ from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
 
 
-def _placement_from_dict(entry: dict, values: dict, rules: dict) -> tuple[PolicyRule, Site]:
+def _check_text(fields) -> None:
+    """TypeError unless every field is a str; ValueError for one that could
+    not be printed back (a lone surrogate from a \\ud800 escape)."""
+    if not "".join(fields).isascii():
+        for field in fields:
+            field.encode("utf-8")
+
+
+def _rule(context: str, src: str, dst: str, value: str, values: dict) -> PolicyRule:
+    """The rule of an entry's rule fields, each (context, value text) parsed
+    once into values; ValueError for a bad one."""
+    parsed = values.get((context, value))
+    if parsed is None:
+        parsed = values[context, value] = value_from_text(PolicyContext(context), value)
+    return PolicyRule(src, dst, parsed)
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"{direction!r} is not a valid Direction")
+
+
+def _placement_from_dict(entry, values: dict) -> tuple[PolicyRule, Site]:
     fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
     try:
-        is_ascii = "".join(fields).isascii()
-    except TypeError:  # a field is missing or not a string
-        raise AssignmentsError(
-            f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
-        ) from None
-    device, interface, direction, context, src, dst, value = fields
-    try:
-        if not is_ascii:
-            for field in fields:
-                # A lone surrogate from a \ud800 escape could not be printed back.
-                field.encode("utf-8")
-        rule = rules.get((context, src, dst, value))
-        if rule is None:
-            if (context, value) not in values:
-                values[context, value] = value_from_text(PolicyContext(context), value)
-            rule = rules[context, src, dst, value] = PolicyRule(src, dst, values[context, value])
-        if direction not in DIRECTIONS:
-            raise ValueError(f"{direction!r} is not a valid Direction")
-        return rule, (device, interface, direction)
+        try:
+            _check_text(fields)
+        except TypeError:  # a field is missing or not a string
+            raise AssignmentsError(
+                f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
+            ) from None
+        device, interface, direction, *rule_fields = fields
+        rule = _rule(*rule_fields, values)
+        _check_direction(direction)
     except ValueError as exc:
         raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
+    return rule, (device, interface, direction)
 
 
-def _rule_fields(placements: Placements) -> list[tuple[str, str, str, str]]:
-    """(context, src, dst, value text) per rule of placements; each value printed once."""
+_RULE_FIELDS = operator.itemgetter(*_FIELDS[3:])
+_SITE_FIELDS = operator.itemgetter(*_FIELDS[:3])
+
+
+def _placements(entries: list) -> Placements:
+    """The placements of entries, each distinct rule and site checked and
+    built once; KeyError, TypeError or ValueError if an entry is bad."""
+    rule_keys = list(map(_RULE_FIELDS, entries))
+    site_keys = list(map(_SITE_FIELDS, entries))
+    values: dict = {}
+    ids: dict[PolicyRule, int] = {}
+    rule_ids = {}
+    for key in dict.fromkeys(rule_keys):
+        _check_text(key)
+        rule_ids[key] = ids.setdefault(_rule(*key, values), len(ids))
+    sites = set(site_keys)
+    for site in sites:
+        _check_text(site)
+        _check_direction(site[2])
+    sites = sorted(sites)
+    site_ids = {site: s for s, site in enumerate(sites)}
+    rows = list(zip(map(rule_ids.__getitem__, rule_keys), map(site_ids.__getitem__, site_keys)))
+    return Placements(list(ids), sites, rows)
+
+
+def _rule_fields(placements: Placements) -> list[tuple[str, str, str, str] | None]:
+    """(context, src, dst, value text) per rule of placements that a row
+    uses, None for the others; each value printed once."""
+    used = {r for r, _ in placements.rows}
     texts: dict = {}
     fields = []
-    for rule in placements.rules:
+    for r, rule in enumerate(placements.rules):
+        if r not in used:
+            fields.append(None)
+            continue
         text = texts.get(rule.value)
         if text is None:
             text = texts[rule.value] = value_to_text(rule.value)
@@ -110,7 +154,7 @@ class Entries(Sequence):
         body = ",".join(f"{inner}  {_quote(key)}: {{{keys.index(key)}}}" for key in sorted(keys))
         template = f"{inner}{{{{{body}{inner}}}}}".format
         sites = [tuple(map(_quote, site)) for site in self.sites]
-        rules = [tuple(map(_quote, fields)) for fields in self.rules]
+        rules = [fields and tuple(map(_quote, fields)) for fields in self.rules]
         if self.classes is None:
             items = [template(*sites[s], *rules[r]) for r, s in self.rows]
         else:
@@ -125,7 +169,7 @@ class Entries(Sequence):
 def map_document(placements: Placements) -> dict:
     """The policy-to-device map: a flat table plus the per-device tree."""
     fields = _rule_fields(placements)
-    lines = [rule_line(rule.context, *f[1:]) for rule, f in zip(placements.rules, fields)]
+    lines = [f and rule_line(rule.context, *f[1:]) for rule, f in zip(placements.rules, fields)]
     at_site: list[set[str]] = [set() for _ in placements.sites]
     for r, s in placements.rows:
         at_site[s].add(lines[r])
@@ -153,10 +197,13 @@ def load_assignments(text: str) -> Placements:
         raise AssignmentsError("expected an object or a list at top level")
     if not isinstance(entries, list):
         raise AssignmentsError("'assignments' is not a list")
-    # One file repeats few values and rules; build each distinct one once.
+    try:
+        return _placements(entries)
+    except (KeyError, TypeError, ValueError):
+        pass
+    # Entry by entry, so that the first bad entry in file order raises.
     values: dict = {}
-    rules: dict = {}
-    return Placements.of(_placement_from_dict(entry, values, rules) for entry in entries)
+    return Placements.of(_placement_from_dict(entry, values) for entry in entries)
 
 
 def delta_to_dict(delta: PolicyDelta) -> dict:

@@ -35,6 +35,14 @@ for its rule's zone pair, each distinct (rule, site) row once:
 
 The audit also re-derives the end-to-end policy each zone pair actually
 implements and compares it with the intended rule value.
+
+Both work on bit masks over the closure's directed-device table, built
+once per closure and kept with it: for each site, device id and (device
+id, interface), the directed devices it realizes or names, and for each
+zone pair, its occurrences.  A placement's class is three ANDs of these
+with its pair's mask.  The occurrences a pair's placed values reach are
+grouped into one mask per value, and policy.fold_classes folds the
+paths over those classes.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import DirectedDevice, PathMatrix
+from .algebra import DirectedDevice, PathMatrix, mask_indices
 from .errors import ContextMismatch, UnreachablePair
 from .policy import (
     EMPTY_SERVICES,
@@ -56,7 +64,7 @@ from .policy import (
     QosValue,
     SecurityValue,
     compose_parallel,
-    fold_end_to_end,
+    fold_classes,
 )
 from .topology import ZoneConduitModel
 
@@ -260,29 +268,67 @@ def map_policy(
     return list(require_reachable(mapped))
 
 
-Realizers = dict[Site, list[int]]
+def _site_masks(astar: PathMatrix) -> dict:
+    """Masks over astar.table, kept with astar: for each site, the directed
+    devices it realizes; for each device id, and each (device id,
+    interface) of an ingress or egress, the directed devices they name."""
+
+    def build() -> dict:
+        masks: dict = {}
+        for k, dev in enumerate(astar.table):
+            inbound, outbound = realizations(dev)
+            for key in (inbound, outbound, dev.device_id, inbound[:2], outbound[:2]):
+                masks[key] = masks.get(key, 0) | 1 << k
+        return masks
+
+    return astar.memo("site masks", build)
 
 
-def realizer_index(sites: Sequence[tuple[Site, Site]], occurrences: Iterable[int]) -> Realizers:
-    """Site -> the occurrences a placement there filters, as indices into a
-    device table whose realizations are sites."""
-    index: Realizers = {}
-    for k in occurrences:
-        for site in sites[k]:
-            index.setdefault(site, []).append(k)
-    return index
+def _occurrence_mask(astar: PathMatrix, i: int, j: int) -> int:
+    """The mask over astar.table of cell (i, j)'s occurrences, kept with astar."""
+    return astar.memo(
+        ("occurrence mask", i, j), lambda: sum(1 << k for k in astar.occurrence_indices(i, j))
+    )
 
 
-def classify_site(site: Site, index: Realizers) -> AssignmentClass:
-    """Class of a placement at site, given the realizer index of its rule's zone pair."""
-    if site in index:
+def classify_site(site: Site, masks: dict, cell: int) -> AssignmentClass:
+    """Class of a placement at site, given _site_masks and the occurrence
+    mask of its rule's zone pair."""
+    if masks.get(site, 0) & cell:
         return AssignmentClass.CORRECT
     device, interface, _ = site
-    if all(device_id != device for device_id, _, _ in index):
+    if not masks.get(device, 0) & cell:
         return AssignmentClass.INCORRECT_FIREWALL
-    if all((device_id, name) != (device, interface) for device_id, name, _ in index):
+    if not masks.get((device, interface), 0) & cell:
         return AssignmentClass.INCORRECT_INTERFACE
     return AssignmentClass.INCORRECT_DIRECTION
+
+
+def _device_classes(
+    ctx: PolicyContext, values: Sequence[PolicyValue], reached: Sequence[tuple[int, int]],
+    cell: int, default: PolicyValue,
+) -> list[tuple[PolicyValue, int]]:
+    """The occurrences of cell as (value, mask) classes, by the value each
+    implements.  reached holds, per distinct placement in row order, its
+    value's index into values (equal values share one) and the occurrences
+    its site realizes.  An occurrence no placement reaches implements
+    default; one reached by two or more values, their parallel composition
+    in row order, taken in ascending occurrence order so that the first to
+    raise is the lowest."""
+    masks: dict[int, int] = {}
+    seen = shared = 0
+    for v, mask in reached:
+        own = masks.get(v, 0)
+        shared |= seen & mask & ~own
+        seen |= mask
+        masks[v] = own | mask
+    classes = [(values[v], mask & ~shared) for v, mask in masks.items() if mask & ~shared]
+    for k in mask_indices(shared):
+        found = [values[v] for v in dict.fromkeys(v for v, mask in reached if mask >> k & 1)]
+        classes.append((reduce(lambda p, q: compose_parallel(ctx, p, q), found), 1 << k))
+    if cell & ~seen:
+        classes.append((default, cell & ~seen))
+    return classes
 
 
 def verify_assignments(
@@ -308,13 +354,15 @@ def verify_assignments(
 
     pairs = sorted(set(intended) | set(by_pair))
     zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
-    realized = list(map(realizations, astar.table))
-    # Occurrences in table order, so that device values compose, and raise,
-    # in one order whatever the hash seed.
-    occurrences = {pair: sorted(astar.occurrence_indices(i, j)) for pair, (i, j) in zones.items()}
-    indexes = {pair: realizer_index(realized, occurrences[pair]) for pair in zones}
-    class_of = {(r, s): classify_site(sites[s], indexes[pair_of[r]]) for r, s in distinct}
+    masks = _site_masks(astar)
+    cells = {pair: _occurrence_mask(astar, i, j) for pair, (i, j) in zones.items()}
+    class_of = {(r, s): classify_site(sites[s], masks, cells[pair_of[r]]) for r, s in distinct}
 
+    # Each distinct placed value once, by equality, so that the rows of a
+    # pair are grouped by value without hashing one per row.
+    interned: dict[PolicyValue, int] = {}
+    value_of = {r: interned.setdefault(placed[r].value, len(interned)) for r in pair_of}
+    values = list(interned)
     deltas = []
     overprovisioned = []
     default = _absent_device_default(ctx)
@@ -324,20 +372,14 @@ def verify_assignments(
             # Unreachable pair: nothing flows, so nothing to compare; any
             # placements here were already flagged incorrect-firewall.
             continue
-        index = indexes[(src, dst)]
+        cell = cells[src, dst]
         # A placement gives an occurrence its value only if it sits where
         # that orientation's traffic actually crosses the device.
-        values: dict[int, list[PolicyValue]] = {k: [] for k in occurrences[(src, dst)]}
-        for r, s in by_pair.get((src, dst), ()):
-            for k in index.get(sites[s], ()):
-                if placed[r].value not in values[k]:
-                    values[k].append(placed[r].value)
-        device_policies = {
-            k: reduce(lambda p, q: compose_parallel(ctx, p, q), found) if found else default
-            for k, found in values.items()
-        }
-
-        derived = fold_end_to_end(ctx, device_policies, paths, astar.table)
+        reached = [
+            (value_of[r], masks.get(sites[s], 0) & cell) for r, s in by_pair.get((src, dst), ())
+        ]
+        classes = _device_classes(ctx, values, reached, cell, default)
+        derived = fold_classes(ctx, classes, paths, astar.table)
         rule = intended.get((src, dst))
         wanted = rule.value if rule is not None else default
         if ctx is PolicyContext.QOS:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from policymap import documents
+from policymap import cli, documents, mapper
 from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
@@ -516,6 +516,28 @@ class TestPlacementObjects:
         code, out, _ = run(capsys, "verify", DIAMOND, POLICY_MIXED, str(target), "--format", fmt)
         assert code == exit_code and out
         assert built == []
+
+    def test_verify_realizes_each_directed_device_once(self, capsys, monkeypatch, tmp_path):
+        # The audit's site masks are built once per closure, not per context.
+        target = _write_map(capsys, tmp_path / "map.json", True)
+        realized, closures = [], []
+        realize, verify = mapper.realizations, cli.verify_assignments
+
+        def realizing(dev):
+            realized.append(dev)
+            return realize(dev)
+
+        def verifying(ctx, rules, astar, *rest):
+            closures.append(astar)
+            return verify(ctx, rules, astar, *rest)
+
+        monkeypatch.setattr(mapper, "realizations", realizing)
+        monkeypatch.setattr(cli, "verify_assignments", verifying)
+        code, out, _ = run(capsys, "verify", DIAMOND, POLICY_MIXED, str(target))
+        assert code == 3 and out
+        astar = closures[0]
+        assert len(closures) == 3 and all(closure is astar for closure in closures)
+        assert 0 < len(realized) <= len(astar.table)
 
 
 def _write_map(capsys, target: Path, faulted: bool) -> Path:

@@ -1,6 +1,8 @@
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -37,11 +39,23 @@ from policymap.mapper import (
     DirectionConvention,
     MeasurementStrategy,
     Placements,
+    PolicyDelta,
+    VerificationReport,
     map_rules,
     realizations,
     verify_assignments,
 )
-from policymap.policy import PolicyContext, value_to_text
+from policymap.policy import (
+    EMPTY_SERVICES,
+    MeasurementValue,
+    PolicyContext,
+    QosValue,
+    SecurityValue,
+    compose_parallel,
+    fold_end_to_end,
+    value_from_text,
+    value_to_text,
+)
 from policymap.topology import (
     NetworkTopology,
     TopologyLink,
@@ -396,7 +410,8 @@ class TestCompactCells:
 class TestRowAudit:
     """verify's audit of an assignments file's rows classifies every entry
     as the per-entry rule does: the occurrences of its rule's zone pair and
-    the sites that realize them."""
+    the sites that realize them.  Its deltas, or its error, are those of a
+    per-occurrence audit, also where two values reach one occurrence."""
 
     @staticmethod
     def reference_class(closure, model, entry) -> str:
@@ -413,9 +428,79 @@ class TestRowAudit:
             return "incorrect_interface"
         return "incorrect_direction"
 
+    @staticmethod
+    def reference_audit(ctx, rules, closure, model, placements):
+        """verify_assignments' deltas and overprovisioned, derived occurrence
+        by occurrence: each takes the distinct values, in row order, of the
+        rows whose site realizes it, composed in parallel."""
+        intended = {(rule.src, rule.dst): rule for rule in rules}
+        rows = list(dict.fromkeys(
+            (placements.rules[r], placements.sites[s]) for r, s in placements.rows
+        ))
+        default = {
+            PolicyContext.SECURITY: SecurityValue(EMPTY_SERVICES),
+            PolicyContext.MEASUREMENT: MeasurementValue(EMPTY_SERVICES),
+            PolicyContext.QOS: QosValue(Fraction(0), None),
+        }[ctx]
+        deltas, overprovisioned = [], []
+        for src, dst in sorted(set(intended) | {(rule.src, rule.dst) for rule, _ in rows}):
+            i, j = model.zone_index(src), model.zone_index(dst)
+            if not closure.index_paths(i, j):
+                continue
+            policies = {}
+            for k in sorted(closure.occurrence_indices(i, j)):
+                found = []
+                for rule, site in rows:
+                    if (rule.src, rule.dst) == (src, dst) and rule.value not in found and (
+                        site in realizations(closure.table[k])
+                    ):
+                        found.append(rule.value)
+                policies[k] = reduce(
+                    lambda p, q: compose_parallel(ctx, p, q), found
+                ) if found else default
+            derived = fold_end_to_end(ctx, policies, closure.index_paths(i, j), closure.table)
+            wanted = intended[src, dst].value if (src, dst) in intended else default
+            delta = PolicyDelta(src, dst, ctx, wanted, derived)
+            if ctx is not PolicyContext.QOS:
+                deltas += [delta] * (derived != wanted)
+            elif derived.bandwidth < wanted.bandwidth:
+                deltas.append(delta)
+            elif wanted.bandwidth < derived.bandwidth:
+                overprovisioned.append(delta)
+        return tuple(deltas), tuple(overprovisioned)
+
+    @staticmethod
+    def overlapping_entries(rng, closure, model, rules, entries) -> list[dict]:
+        """Entries whose value differs from another's at one occurrence: one
+        at the same site as an entry, and two at both realizations of one
+        occurrence.  A qos value mostly keeps the predicate it meets."""
+
+        def other(ctx, value):
+            found = random_value(rng, ctx)
+            if ctx is PolicyContext.QOS and rng.random() < 0.8:
+                found = QosValue(found.bandwidth, value.service)
+            return value_to_text(found)
+
+        added = []
+        for entry in rng.sample(entries, min(2, len(entries))):
+            ctx = PolicyContext(entry["context"])
+            value = value_from_text(ctx, entry["value"])
+            added.append(dict(entry, value=other(ctx, value)))
+        for rule in rng.sample(rules, min(2, len(rules))):
+            i, j = model.zone_index(rule.src), model.zone_index(rule.dst)
+            k = rng.choice(sorted(closure.occurrence_indices(i, j)))
+            fields = {"context": rule.context.value, "src": rule.src, "dst": rule.dst}
+            for site in realizations(closure.table[k]):
+                device, interface, direction = site
+                added.append(dict(
+                    fields, device=device, interface=interface, direction=direction,
+                    value=other(rule.context, rule.value),
+                ))
+        return added
+
     def test_row_classes_match_per_entry_classes(self):
         rng = random.Random(0xA0D)
-        unreachable_entries = duplicates = 0
+        unreachable_entries = duplicates = overlapping = raised = 0
         seen = set()
         for model in random_models():
             closure = right_iterate(*am_tm(model))
@@ -450,6 +535,9 @@ class TestRowAudit:
                         "context": ctx.value, "src": src, "dst": dst, "value": value,
                     })
                     unreachable_entries += 1
+                if rng.random() < 0.5:
+                    entries += self.overlapping_entries(rng, closure, model, rules, entries)
+                    overlapping += 1
                 rng.shuffle(entries)
 
                 loaded = load_assignments(json.dumps(entries))
@@ -462,7 +550,15 @@ class TestRowAudit:
                 for ctx in PolicyContext:
                     selected = loaded.select(ctx)
                     ctx_rules = [rule for rule in rules if rule.context is ctx]
-                    report = verify_assignments(ctx, ctx_rules, closure, model, selected)
+                    report = outcome(verify_assignments, ctx, ctx_rules, closure, model, selected)
+                    expected = outcome(
+                        self.reference_audit, ctx, ctx_rules, closure, model, selected
+                    )
+                    if not isinstance(report, VerificationReport):
+                        assert report == expected
+                        raised += 1
+                        continue
+                    assert (report.deltas, report.overprovisioned) == expected
                     reports.append(report)
                     assert report.findings == selected
                     seen.update(cls.value for cls in report.classes)
@@ -471,6 +567,8 @@ class TestRowAudit:
                         for entry in entries
                         if entry["context"] == ctx.value
                     ]
+                if len(reports) < len(PolicyContext):
+                    continue
                 # The reports share the file's tables, so the merge keeps them;
                 # its document is the one of the rows interned afresh.
                 merged = merge_reports(reports)
@@ -480,5 +578,5 @@ class TestRowAudit:
                     for r, s in f.rows
                 ))
                 assert to_json(verify_document(merged)) == to_json(verify_document(interned))
-        assert unreachable_entries and duplicates
+        assert unreachable_entries and duplicates and overlapping > 10 and raised
         assert seen == {cls.value for cls in AssignmentClass}

@@ -68,6 +68,46 @@ class TestValueText:
         assert value_to_text(QosValue(Fraction(0), None)) == "min 0MB/s"
 
 
+# Files of one bad entry, and with them the other files load_assignments rejects.
+_BAD_ENTRIES = [
+    '{"assignments": [{"device": "A"}]}',
+    '[{"device": "A", "interface": "e0", "direction": "sideways",'
+    ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+    '[{"device": "A", "interface": "e0", "direction": "inbound",'
+    ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1/0MB/s"}]',
+    '[{"device": "A", "interface": "e0", "direction": "inbound",'
+    ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1e999999999MB/s"}]',
+    '[{"device": "A", "interface": "e0", "direction": "inbound",'
+    ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min \u0663MB/s"}]',
+    *(
+        '[{"device": "A", "interface": "e0", "direction": "inbound",'
+        f' "context": "security", "src": "Z1", "dst": "Z3", "value": "{service}"}}]'
+        for service in ("tcp/2_2", "tcp/+22", "tcp/ 22", "tcp/\u0662\u0662")
+    ),
+    '[{"device": "A", "interface": "e0", "direction": "inbound",'
+    ' "context": "security", "src": "Z1", "dst": "Z3", "value": 5}]',
+    '[{"device": ["A"], "interface": "e0", "direction": "inbound",'
+    ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+    '[{"device": "A", "interface": "e0", "direction": "inbound",'
+    ' "context": "security", "src": ["Z1"], "dst": "Z3", "value": "tcp/22"}]',
+    "[5]",
+    '[{"device": "\\ud800X", "interface": "e0", "direction": "inbound",'
+    ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
+]
+_MALFORMED = [
+    "{not json",
+    "42",
+    '{"assignments": 7}',
+    *_BAD_ENTRIES,
+    pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
+]
+
+_GOOD = {
+    "device": "A", "interface": "e0", "direction": "inbound",
+    "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22",
+}
+
+
 class TestAssignmentsIO:
     def test_dict_round_trip(self):
         rule = PolicyRule("Z1", "Z3", SecurityValue(SSH))
@@ -140,41 +180,66 @@ class TestAssignmentsIO:
         (loaded,) = load_assignments(text)
         assert loaded.device_id == "A"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "{not json",
-            "42",
-            '{"assignments": 7}',
-            '{"assignments": [{"device": "A"}]}',
-            '[{"device": "A", "interface": "e0", "direction": "sideways",'
-            ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
-            '[{"device": "A", "interface": "e0", "direction": "inbound",'
-            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1/0MB/s"}]',
-            '[{"device": "A", "interface": "e0", "direction": "inbound",'
-            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min 1e999999999MB/s"}]',
-            '[{"device": "A", "interface": "e0", "direction": "inbound",'
-            ' "context": "qos", "src": "Z1", "dst": "Z3", "value": "tcp/22 min \u0663MB/s"}]',
-            *(
-                '[{"device": "A", "interface": "e0", "direction": "inbound",'
-                f' "context": "security", "src": "Z1", "dst": "Z3", "value": "{service}"}}]'
-                for service in ("tcp/2_2", "tcp/+22", "tcp/ 22", "tcp/\u0662\u0662")
-            ),
-            '[{"device": "A", "interface": "e0", "direction": "inbound",'
-            ' "context": "security", "src": "Z1", "dst": "Z3", "value": 5}]',
-            '[{"device": ["A"], "interface": "e0", "direction": "inbound",'
-            ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
-            '[{"device": "A", "interface": "e0", "direction": "inbound",'
-            ' "context": "security", "src": ["Z1"], "dst": "Z3", "value": "tcp/22"}]',
-            "[5]",
-            '[{"device": "\\ud800X", "interface": "e0", "direction": "inbound",'
-            ' "context": "security", "src": "Z1", "dst": "Z3", "value": "tcp/22"}]',
-            pytest.param("[" * 100000 + "]" * 100000, id="nested-100000-deep"),
-        ],
-    )
+    @pytest.mark.parametrize("text", _MALFORMED)
     def test_malformed_rejected(self, text):
         with pytest.raises(AssignmentsError):
             load_assignments(text)
+
+    @staticmethod
+    def _message(entries) -> str:
+        with pytest.raises(AssignmentsError) as raised:
+            load_assignments(json.dumps(entries))
+        return str(raised.value)
+
+    @pytest.mark.parametrize("text", _BAD_ENTRIES)
+    def test_first_bad_entry_is_named_after_valid_ones(self, text):
+        # Three valid entries share the bad one's rule or site, so that the
+        # check of each distinct rule and site meets them first.
+        payload = json.loads(text)
+        (bad,) = payload if isinstance(payload, list) else payload["assignments"]
+        shared = [dict(_GOOD)]
+        if isinstance(bad, dict):
+            for group in (documents._FIELDS[:3], documents._FIELDS[3:]):
+                candidate = dict(_GOOD, **{f: bad[f] for f in group if f in bad})
+                try:
+                    load_assignments(json.dumps([candidate]))
+                except AssignmentsError:
+                    continue
+                shared.append(candidate)
+        with pytest.raises(AssignmentsError) as alone:
+            documents._placement_from_dict(bad, {})
+        valid = [shared[k % len(shared)] for k in range(3)]
+        assert self._message([*valid, bad]) == str(alone.value)
+
+    def test_two_bad_entries_name_the_first_in_file_order(self):
+        bad_site = dict(_GOOD, device="B", direction="sideways")
+        bad_rule = dict(_GOOD, value="tcp/99999")
+        good = dict(_GOOD, device="C")
+        assert self._message([good, bad_site, bad_rule, good]) == (
+            f"bad assignment entry {bad_site!r}: 'sideways' is not a valid Direction"
+        )
+        assert self._message([bad_rule, good, bad_site]) == (
+            f"bad assignment entry {bad_rule!r}: bad port range '99999'"
+        )
+
+    def test_same_placements_as_entry_by_entry(self):
+        # Repeated entries, two value texts that parse equal, and extra keys.
+        entries = [
+            _GOOD,
+            dict(_GOOD, value="tcp/22,tcp/23"),
+            dict(_GOOD, device="B", value="tcp/22-23"),
+            dict(_GOOD, note="extra", device="C"),
+            _GOOD,
+            dict(_GOOD, context="qos", value="tcp/22 min 5MB/s", direction="outbound"),
+            dict(_GOOD, device="B", value="tcp/22-23", src="Z2"),
+        ]
+        values: dict = {}
+        expected = Placements.of(documents._placement_from_dict(entry, values) for entry in entries)
+        loaded = load_assignments(json.dumps({"assignments": entries}))
+        assert loaded == expected
+        # The two texts of tcp/22-23 are one rule, where it first appears.
+        assert len(loaded.rules) == 4
+        assert [r for r, _ in loaded.rows] == [0, 1, 1, 0, 0, 2, 3]
 
 
 class TestVerifyDocument:

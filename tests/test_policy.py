@@ -614,6 +614,43 @@ class TestCountedFold:
         ) == expected
 
 
+class TestClassFold:
+    """verify's fold over class masks, which walks only the paths that touch
+    a class other than the largest, equals the canonical path-by-path fold,
+    value or error type and message: single-class cells, minority classes
+    covering whole paths, classes split in two of one value, unbounded and
+    huge bandwidths."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_path_by_path_fold(self, data):
+        ctx = data.draw(st.sampled_from(list(PolicyContext)))
+        paths = set()
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths |= data.draw(_path_sets()).paths
+        paths = PathSet(frozenset(paths))
+        devices = sorted({d for p in paths for d in p.steps}, key=device_key)
+        pool = _COUNTED_POOL if ctx is PolicyContext.QOS else _POOLS[ctx]
+        chosen = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        policies = {d: data.draw(st.sampled_from(chosen)) for d in devices}
+        masks: dict = {}
+        for k, d in enumerate(devices):
+            masks[policies[d]] = masks.get(policies[d], 0) | 1 << k
+        classes = list(masks.items())
+        if classes and data.draw(st.booleans()):
+            value, mask = classes.pop(0)
+            low = mask & -mask
+            classes += [(value, low)] + [(value, mask ^ low)] * (mask != low)
+        number = {d: k for k, d in enumerate(devices)}
+        order = data.draw(st.permutations([p.steps for p in paths]))
+        rows = [tuple(number[d] for d in steps) for steps in order]
+        expected = _outcome(literal_end_to_end, ctx, policies, paths)
+        assert _outcome(
+            lambda ctx, classes, rows: policy.fold_classes(ctx, classes, rows, devices),
+            ctx, classes, rows,
+        ) == expected
+
+
 class TestPolicyParser:
     def test_full_document(self):
         doc = parse_policy(
