@@ -16,11 +16,10 @@ grammar; this module has no value syntax.
 from __future__ import annotations
 
 import json
-import operator
 from collections.abc import Sequence
 
 from .errors import AssignmentsError
-from .mapper import DIRECTIONS, Placements, PolicyDelta, Site, VerificationReport
+from .mapper import DIRECTIONS, Placements, PolicyDelta, VerificationReport
 from .policy import PolicyContext, PolicyRule, rule_line, value_from_text, value_to_text
 
 _FIELDS = ("device", "interface", "direction", "context", "src", "dst", "value")
@@ -48,46 +47,39 @@ def _check_direction(direction: str) -> None:
         raise ValueError(f"{direction!r} is not a valid Direction")
 
 
-def _placement_from_dict(entry, values: dict) -> tuple[PolicyRule, Site]:
-    fields = [entry.get(f) for f in _FIELDS] if isinstance(entry, dict) else [None]
-    try:
-        try:
-            _check_text(fields)
-        except TypeError:  # a field is missing or not a string
-            raise AssignmentsError(
-                f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
-            ) from None
-        device, interface, direction, *rule_fields = fields
-        rule = _rule(*rule_fields, values)
-        _check_direction(direction)
-    except ValueError as exc:
-        raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
-    return rule, (device, interface, direction)
-
-
-_RULE_FIELDS = operator.itemgetter(*_FIELDS[3:])
-_SITE_FIELDS = operator.itemgetter(*_FIELDS[:3])
-
-
 def _placements(entries: list) -> Placements:
-    """The placements of entries, each distinct rule and site checked and
-    built once; KeyError, TypeError or ValueError if an entry is bad."""
-    rule_keys = list(map(_RULE_FIELDS, entries))
-    site_keys = list(map(_SITE_FIELDS, entries))
+    """The placements of entries, one row per entry in file order; each
+    distinct rule and site is checked and built where it is first met, so
+    AssignmentsError names the first bad entry."""
     values: dict = {}
     ids: dict[PolicyRule, int] = {}
-    rule_ids = {}
-    for key in dict.fromkeys(rule_keys):
-        _check_text(key)
-        rule_ids[key] = ids.setdefault(_rule(*key, values), len(ids))
-    sites = set(site_keys)
-    for site in sites:
-        _check_text(site)
-        _check_direction(site[2])
-    sites = sorted(sites)
-    site_ids = {site: s for s, site in enumerate(sites)}
-    rows = list(zip(map(rule_ids.__getitem__, rule_keys), map(site_ids.__getitem__, site_keys)))
-    return Placements(list(ids), sites, rows)
+    rule_ids: dict = {}
+    site_ids: dict = {}  # in first-met order until the sites are sorted
+    rows = []
+    for entry in entries:
+        try:
+            try:
+                rule_key = (entry["context"], entry["src"], entry["dst"], entry["value"])
+                site = (entry["device"], entry["interface"], entry["direction"])
+                r, s = rule_ids.get(rule_key), site_ids.get(site)
+                if r is None or s is None:
+                    _check_text(site + rule_key)
+            except (KeyError, TypeError):  # a field is missing or not a string
+                raise AssignmentsError(
+                    f"bad assignment entry {entry!r}: needs string {', '.join(_FIELDS)}"
+                ) from None
+            if r is None:
+                r = rule_ids[rule_key] = ids.setdefault(_rule(*rule_key, values), len(ids))
+            if s is None:
+                _check_direction(site[2])
+                s = site_ids[site] = len(site_ids)
+        except ValueError as exc:
+            raise AssignmentsError(f"bad assignment entry {entry!r}: {exc}") from exc
+        rows.append((r, s))
+    sites = sorted(site_ids)
+    rank = dict(zip(sites, range(len(sites))))
+    sorted_id = [rank[site] for site in site_ids]
+    return Placements(list(ids), sites, [(r, sorted_id[s]) for r, s in rows])
 
 
 def _rule_fields(placements: Placements) -> list[tuple[str, str, str, str] | None]:
@@ -197,36 +189,34 @@ def load_assignments(text: str) -> Placements:
         raise AssignmentsError("expected an object or a list at top level")
     if not isinstance(entries, list):
         raise AssignmentsError("'assignments' is not a list")
-    try:
-        return _placements(entries)
-    except (KeyError, TypeError, ValueError):
-        pass
-    # Entry by entry, so that the first bad entry in file order raises.
-    values: dict = {}
-    return Placements.of(_placement_from_dict(entry, values) for entry in entries)
+    return _placements(entries)
 
 
-def delta_to_dict(delta: PolicyDelta) -> dict:
-    return {
-        "src": delta.src,
-        "dst": delta.dst,
-        "context": delta.context.value,
-        "intended": value_to_text(delta.intended),
-        "derived": value_to_text(delta.derived),
-    }
+def delta_to_dict(delta: PolicyDelta, texts: dict) -> dict:
+    """A delta's entry; texts maps each value already printed to its text."""
+    entry = {"src": delta.src, "dst": delta.dst, "context": delta.context.value}
+    for key, value in (("intended", delta.intended), ("derived", delta.derived)):
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = value_to_text(value)
+        entry[key] = text
+    return entry
 
 
 def verify_document(report: VerificationReport) -> dict:
     placements = report.findings
-    delta_key = lambda e: (e["context"], e["src"], e["dst"])
+    texts: dict = {}  # each distinct value printed once, as _rule_fields does
+
+    def deltas(found):
+        entries = [delta_to_dict(d, texts) for d in found]
+        return sorted(entries, key=lambda e: (e["context"], e["src"], e["dst"]))
+
     return {
         "clean": report.clean,
         "counts": report.counts,
         "findings": Entries(placements, _rule_fields(placements), report.classes),
-        "policy_deltas": sorted((delta_to_dict(d) for d in report.deltas), key=delta_key),
-        "overprovisioned": sorted(
-            (delta_to_dict(d) for d in report.overprovisioned), key=delta_key
-        ),
+        "policy_deltas": deltas(report.deltas),
+        "overprovisioned": deltas(report.overprovisioned),
     }
 
 

@@ -21,22 +21,18 @@ and add up across disjoint paths.
 
 The end-to-end value implemented by a set of device paths is the parallel
 combination over paths of the serial combination of the per-device values
-along each path.  fold_groups folds it by groups of paths that share one
-set of distinct device values, each group with its number of paths, and
-that is exact: serial composition is idempotent and commutative in all
-three contexts, so a path's value depends only on the set of distinct
-device values along it; parallel composition is idempotent for security
-and measurement, so a repeated set adds nothing there, while the qos sum
-of k paths in one set is k times that set's serial value, one
-multiplication (exact for Fraction; UNBOUNDED stays UNBOUNDED).  Two
-callers form the groups.  fold_end_to_end, which derive_end_to_end
-wraps, walks every path's step tuple (or tuple of indices into a device
-table).  fold_classes, verify's fold, takes each value's devices as a
-bit mask over the table and walks only the paths that touch a device
-outside the largest class; every other path is in that class's group.
-Parallel composition commutes, so paths come in any order; an error is
-taken from a second fold_end_to_end in canonical order: the one, with
-the message, that a path-by-path fold would raise first.
+along each path.  fold_classes, the one fold, takes each value's devices
+as a bit mask over a device table and folds groups of paths that share
+one set of values, each group once with its number of paths, and that
+is exact: serial composition is idempotent and commutative in all three
+contexts, so a path's value depends only on the set of distinct values
+along it; parallel composition is idempotent for security and
+measurement, so a repeated set adds nothing there, while the qos sum of
+k paths in one set is k times that set's serial value, one
+multiplication (exact for Fraction; UNBOUNDED stays UNBOUNDED).
+Parallel composition commutes, so paths come in any order.  On an error
+the paths are folded again path by path in canonical order, the paper's
+fold, so the error and its message are the ones that fold raises first.
 
 Policy files are line-oriented ('#' starts a comment):
 
@@ -65,7 +61,7 @@ from itertools import filterfalse, repeat
 from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
-from .algebra import DirectedDevice, PathSet, mask_indices, steps_key
+from .algebra import DirectedDevice, PathSet, device_key, mask_indices, steps_key
 from .errors import (
     ContextMismatch,
     EmptyPathSet,
@@ -282,29 +278,21 @@ def derive_end_to_end(
     path.  The empty path contributes the serial identity.  ``paths``
     must be nonempty (an empty set means the pair is unreachable) and
     ``device_policies`` must cover every device appearing in it.  This is
-    fold_end_to_end over the paths' steps.
+    fold_classes over the paths' devices, numbered in device_key order,
+    with one class per distinct value; a device with no value of ctx sends
+    the paths to the path-by-path fold, in canonical order, which raises.
     """
-    return fold_end_to_end(ctx, device_policies, [p.steps for p in paths])
-
-
-def fold_end_to_end(
-    ctx: PolicyContext,
-    device_policies: Mapping,
-    paths: Sequence[Sequence],
-    table: Sequence[DirectedDevice] | None = None,
-) -> PolicyValue:
-    """derive_end_to_end over paths given as step tuples, in any order; with
-    ``table``, the paths are tuples of indices into it and device_policies
-    is keyed by index.  On an error the paths are folded again as step
-    tuples in canonical order, and that error is raised."""
-    try:
-        return _fold(ctx, device_policies, paths)
-    except PolicymapError:
-        pass
-    if table is not None:
-        device_policies = {table[k]: value for k, value in device_policies.items()}
-        paths = [tuple(map(table.__getitem__, path)) for path in paths]
-    return _fold(ctx, device_policies, sorted(paths, key=steps_key))
+    table = sorted({step for path in paths for step in path.steps}, key=device_key)
+    masks: dict[PolicyValue, int] = {}
+    for k, dev in enumerate(table):
+        value = device_policies.get(dev)
+        if _VALUE_CONTEXT.get(type(value)) is not ctx:
+            steps = sorted((path.steps for path in paths), key=steps_key)
+            return _path_by_path(ctx, device_policies, steps)
+        masks[value] = masks.get(value, 0) | 1 << k
+    number = {dev: k for k, dev in enumerate(table)}
+    rows = [tuple(map(number.__getitem__, path.steps)) for path in paths]
+    return fold_classes(ctx, list(masks.items()), rows, table)
 
 
 def fold_classes(
@@ -313,13 +301,17 @@ def fold_classes(
     paths: Sequence[tuple[int, ...]],
     table: Sequence[DirectedDevice],
 ) -> PolicyValue:
-    """fold_end_to_end over paths, tuples of indices into table, where each
-    index takes the value of ctx whose mask in classes, (value, mask)
-    pairs, has its bit; the masks are disjoint and cover every step of
-    paths, and two classes may hold equal values.  Only the paths that
-    reach an index outside the largest class are walked: every other
-    nonempty path has that class alone.  On an error the paths are folded
-    by fold_end_to_end, which raises the canonical one."""
+    """The end-to-end value over paths, in any order, given as tuples of
+    indices into table, where each index takes the value of ctx whose mask
+    in classes, (value, mask) pairs, has its bit; the masks are disjoint
+    and cover every step of paths, and two classes may hold equal values.
+
+    The paths are grouped by the classes they reach, and each group is
+    folded once with its number of paths (the module docstring says why
+    this is exact).  Only the paths that reach an index outside the
+    largest class are walked: every other nonempty path has that class
+    alone.  On an error the paths are folded path by path in canonical
+    order, and that fold's value or error is the result."""
     largest = max(range(len(classes)), key=lambda c: classes[c][1].bit_count(), default=0)
     bit_of: dict[int, int] = {}
     for c, (_, mask) in enumerate(classes):
@@ -330,90 +322,48 @@ def fold_classes(
     empty = paths.count(())
     keys[1 << largest] += len(paths) - len(touching) - empty
     keys[0] += empty
-    groups = [
-        (key, [value for c, (value, _) in enumerate(classes) if key >> c & 1], count)
-        for key, count in keys.items()
-        if count
-    ]
-    try:
-        return fold_groups(ctx, groups)
-    except PolicymapError:
-        pass
-    device_policies = {k: value for value, mask in classes for k in mask_indices(mask)}
-    return fold_end_to_end(ctx, device_policies, paths, table)
-
-
-def fold_groups(
-    ctx: PolicyContext, groups: Iterable[tuple[int, Sequence[PolicyValue], int]]
-) -> PolicyValue:
-    """The parallel composition over groups of paths of each group's serial
-    value.  A group is (key, the device values along one of its paths, its
-    number of paths); a qos group of k paths adds its bandwidth x k (the
-    module docstring says why this is exact).  Groups are folded in the
-    given order, each as it is drawn, and its values serially in theirs; a
-    key met again reuses its serial value."""
     derived = None
-    serial: dict[int, PolicyValue] = {}
-    for key, values, count in groups:
-        value = serial.get(key)
-        if value is None:
-            value = serial[key] = serial_identity(ctx) if not values else reduce(
+    try:
+        for key, count in keys.items():
+            if not count:
+                continue
+            values = [value for c, (value, _) in enumerate(classes) if key >> c & 1]
+            value = serial_identity(ctx) if not values else reduce(
                 lambda p, q: compose_serial(ctx, p, q), values
             )
-        if count > 1 and ctx is PolicyContext.QOS:
-            value = QosValue(value.bandwidth * count, value.service)
+            if count > 1 and ctx is PolicyContext.QOS:
+                value = QosValue(value.bandwidth * count, value.service)
+            derived = value if derived is None else compose_parallel(ctx, derived, value)
+        if derived is not None:
+            return derived
+    except PolicymapError:
+        pass
+    device_policies = {table[k]: value for value, mask in classes for k in mask_indices(mask)}
+    steps = sorted((tuple(map(table.__getitem__, path)) for path in paths), key=steps_key)
+    return _path_by_path(ctx, device_policies, steps)
+
+
+def _path_by_path(
+    ctx: PolicyContext, device_policies: Mapping, paths: Iterable[Sequence[DirectedDevice]]
+) -> PolicyValue:
+    """The paper's fold, fold_classes' reference: the parallel composition
+    over paths, in the given order, of the serial composition along each.
+    A path's devices are looked up before it is composed."""
+    derived = None
+    for steps in paths:
+        values = []
+        for step in steps:
+            try:
+                values.append(device_policies[step])
+            except KeyError:
+                raise MissingDevicePolicy(f"no policy value for device {step}") from None
+        value = serial_identity(ctx) if not values else reduce(
+            lambda p, q: compose_serial(ctx, p, q), values
+        )
         derived = value if derived is None else compose_parallel(ctx, derived, value)
     if derived is None:
         raise EmptyPathSet("cannot derive a policy over an empty path set")
     return derived
-
-
-def _fold(ctx: PolicyContext, device_policies: Mapping, paths: Sequence[Sequence]) -> PolicyValue:
-    """The fold, paths in the given order, over any hashable step keys.
-
-    Each distinct device value gets one bit and a path's key is the OR of
-    its steps' bits.  The paths go to fold_groups as drawn, one group per
-    key where it is first met; for security and measurement a key met
-    again is skipped, while a qos key met again is counted, and after the
-    last path each repeated key is one more group of its repeats.  A
-    repeat cannot raise where a path-by-path fold would add it: its
-    predicate has merged already, and only a single-step path folds a
-    value of another context without raising, which distinct paths never
-    repeat.  A path's devices are looked up before its fold, so errors
-    come in the path-by-path fold's order.
-    """
-    bits: dict = {}
-    classes: dict[PolicyValue, int] = {}
-    firsts: dict[int, list[PolicyValue]] = {}
-    repeats: dict[int, int] = {}
-
-    def groups():
-        for steps in paths:
-            key = 0
-            for step in steps:
-                bit = bits.get(step)
-                if bit is None:
-                    try:
-                        value = device_policies[step]
-                    except KeyError:
-                        raise MissingDevicePolicy(f"no policy value for device {step}") from None
-                    bit = 1 << len(bits)
-                    # A value of another context keeps its device's own bit:
-                    # its paths then raise in their fold, as path by path.
-                    if _VALUE_CONTEXT.get(type(value)) is ctx:
-                        bit = classes.setdefault(value, bit)
-                    bits[step] = bit
-                key |= bit
-            if key in firsts:
-                repeats[key] = repeats.get(key, 0) + 1
-                continue
-            firsts[key] = [device_policies[step] for step in steps]
-            yield key, firsts[key], 1
-        if ctx is PolicyContext.QOS:
-            for key, count in repeats.items():
-                yield key, firsts[key], count
-
-    return fold_groups(ctx, groups())
 
 
 @dataclass(frozen=True)

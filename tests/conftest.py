@@ -1,10 +1,13 @@
 import os
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 import policymap
 from policymap.closure import right_iterate
+from policymap.errors import EmptyPathSet, MissingDevicePolicy
+from policymap.policy import compose_parallel, compose_serial, serial_identity
 from policymap.topology import (
     adjacency_matrix,
     build_model,
@@ -23,6 +26,31 @@ Z1_Z3_LAB_CLOSED = "{A12C23, A12D23, B12C23, B12D23}"
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def literal_end_to_end(ctx, device_policies, paths):
+    """The paper's fold, the reference for every fold under test: parallel
+    over paths, in canonical order, of the serial fold along each path."""
+    if not paths:
+        raise EmptyPathSet("cannot derive a policy over an empty path set")
+
+    def path_value(path):
+        if not path.steps:
+            return serial_identity(ctx)
+        values = []
+        for step in path.steps:
+            try:
+                values.append(device_policies[step])
+            except KeyError:
+                raise MissingDevicePolicy(
+                    f"no policy value for device {step.text()}"
+                ) from None
+        return reduce(lambda p, q: compose_serial(ctx, p, q), values)
+
+    return reduce(
+        lambda p, q: compose_parallel(ctx, p, q),
+        (path_value(path) for path in paths.sorted_paths()),
+    )
 
 
 def hash_seed_env(hash_seed: str) -> dict:

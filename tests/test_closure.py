@@ -52,7 +52,6 @@ from policymap.policy import (
     QosValue,
     SecurityValue,
     compose_parallel,
-    fold_end_to_end,
     value_from_text,
     value_to_text,
 )
@@ -65,7 +64,7 @@ from policymap.topology import (
     transitivity_matrix,
 )
 
-from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN
+from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, literal_end_to_end
 from modelgen import random_model, random_rules, random_topology, random_value
 
 
@@ -455,10 +454,10 @@ class TestRowAudit:
                         site in realizations(closure.table[k])
                     ):
                         found.append(rule.value)
-                policies[k] = reduce(
+                policies[closure.table[k]] = reduce(
                     lambda p, q: compose_parallel(ctx, p, q), found
                 ) if found else default
-            derived = fold_end_to_end(ctx, policies, closure.index_paths(i, j), closure.table)
+            derived = literal_end_to_end(ctx, policies, closure.cell(i, j))
             wanted = intended[src, dst].value if (src, dst) in intended else default
             delta = PolicyDelta(src, dst, ctx, wanted, derived)
             if ctx is not PolicyContext.QOS:

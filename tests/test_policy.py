@@ -4,7 +4,6 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +41,7 @@ from policymap.policy import (
     compose_serial,
     context_of,
     derive_end_to_end,
-    fold_end_to_end,
+    fold_classes,
     parallel_identity,
     parse_policy,
     parse_services,
@@ -52,7 +51,7 @@ from policymap.policy import (
     value_to_text,
 )
 
-from conftest import hash_seed_env
+from conftest import hash_seed_env, literal_end_to_end
 
 SSH = ServiceSet.from_ranges([("tcp", 22, 22)])
 HTTP = ServiceSet.from_ranges([("tcp", 80, 80)])
@@ -297,31 +296,6 @@ class TestCompositionProperties:
         )
 
 
-def literal_end_to_end(ctx, device_policies, paths):
-    """The path-by-path fold derive_end_to_end must agree with: parallel
-    over paths, in canonical order, of the serial fold along each path."""
-    if not paths:
-        raise EmptyPathSet("cannot derive a policy over an empty path set")
-
-    def path_value(path):
-        if not path.steps:
-            return serial_identity(ctx)
-        values = []
-        for step in path.steps:
-            try:
-                values.append(device_policies[step])
-            except KeyError:
-                raise MissingDevicePolicy(
-                    f"no policy value for device {step.text()}"
-                ) from None
-        return reduce(lambda p, q: compose_serial(ctx, p, q), values)
-
-    return reduce(
-        lambda p, q: compose_parallel(ctx, p, q),
-        (path_value(path) for path in paths.sorted_paths()),
-    )
-
-
 def _outcome(derive, ctx, device_policies, paths):
     """The derived value, or the type and message of the error raised."""
     try:
@@ -376,11 +350,6 @@ class TestDeriveEndToEnd:
             derive_end_to_end(
                 PolicyContext.SECURITY, {first: SecurityValue(SSH)}, PathSet.of(self.upper)
             )
-        # Over indices into a table, the message still names the device.
-        with pytest.raises(MissingDevicePolicy, match=message):
-            fold_end_to_end(
-                PolicyContext.SECURITY, {0: SecurityValue(SSH)}, [(0, 1)], [first, second]
-            )
 
     def test_qos_equal_parallel_paths_count_twice(self):
         # Both paths fold to the same value class; the sum still needs both.
@@ -399,14 +368,21 @@ class TestDeriveEndToEnd:
                 calls.append(name)
                 return op(ctx, p, q)
             monkeypatch.setattr(policy, name, counted)
-        devices = (*self.upper.steps, *self.lower.steps)
-        for value in (SecurityValue(SSH), QosValue(Fraction(30), HTTP)):
+        (a, c), (e, f) = self.upper.steps, self.lower.steps
+        cases = (
+            (SecurityValue(SSH), SecurityValue(SSH.union(HTTP)), SecurityValue(SSH)),
+            (QosValue(Fraction(30), HTTP), QosValue(Fraction(20), HTTP),
+             QosValue(Fraction(40), HTTP)),
+        )
+        for first, second, expected in cases:
             calls.clear()
-            derive_end_to_end(context_of(value), {d: value for d in devices}, self.paths)
-            # One serial step folds the first path's class; the second path
-            # repeats it, and only the qos sum adds it again.
-            parallel = ["compose_parallel"] if isinstance(value, QosValue) else []
-            assert calls == ["compose_serial"] + parallel
+            policies = {a: first, e: first, c: second, f: second}
+            got = derive_end_to_end(context_of(first), policies, self.paths)
+            # Both paths reach the one class {first, second}: one serial
+            # step folds it, the qos count multiplies it, and no parallel
+            # step is left.
+            assert calls == ["compose_serial"]
+            assert got == expected
 
     def test_mixed_qos_predicates_raise_as_the_path_by_path_fold(self):
         across = {d: QosValue(Fraction(30), HTTP) for d in self.upper.steps}
@@ -558,9 +534,21 @@ def _path_sets(draw):
     return PathSet(frozenset(paths))
 
 
+def _class_rows(data, policies, devices, paths):
+    """fold_classes' classes and rows for policies over paths, with devices
+    as the table: one class per distinct value, the rows in a drawn order."""
+    masks: dict = {}
+    for k, d in enumerate(devices):
+        masks[policies[d]] = masks.get(policies[d], 0) | 1 << k
+    number = {d: k for k, d in enumerate(devices)}
+    order = data.draw(st.permutations([p.steps for p in paths]))
+    return list(masks.items()), [tuple(number[d] for d in steps) for steps in order]
+
+
 class TestAnyOrderFold:
-    """fold_end_to_end takes paths in any order; with its canonical retry it
-    equals the canonical path-by-path fold, value or error type and message."""
+    """fold_classes takes paths in any order and devices in any table order;
+    with its canonical retry it equals the canonical path-by-path fold,
+    value or error type and message."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -569,14 +557,13 @@ class TestAnyOrderFold:
         paths = data.draw(_path_sets())
         devices = sorted({d for p in paths for d in p.steps}, key=DirectedDevice.text)
         pool = _POOLS[ctx] + [QosValue(Fraction(20), DNS)] * (ctx is PolicyContext.QOS)
-        if data.draw(st.booleans()):
-            pool = pool + [v for values in _POOLS.values() for v in values]
         policies = {d: data.draw(st.sampled_from(pool)) for d in devices}
-        if devices and data.draw(st.integers(0, 3)) == 0:
-            del policies[data.draw(st.sampled_from(devices))]
-        order = data.draw(st.permutations([p.steps for p in paths]))
+        classes, rows = _class_rows(data, policies, devices, paths)
         expected = _outcome(literal_end_to_end, ctx, policies, paths)
-        assert _outcome(fold_end_to_end, ctx, policies, order) == expected
+        assert _outcome(
+            lambda ctx, classes, rows: fold_classes(ctx, classes, rows, devices),
+            ctx, classes, rows,
+        ) == expected
 
 
 _HUGE = Fraction(10**400 + 1, 3)
@@ -589,8 +576,7 @@ _COUNTED_POOL = [
 
 class TestCountedFold:
     """A qos value class met k times adds k times its serial value: equal to
-    the canonical path-by-path fold, value or error type and message, for
-    step tuples and for indices into a device table alike."""
+    the canonical path-by-path fold, value or error type and message."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -603,14 +589,11 @@ class TestCountedFold:
         # One to three values, so that classes repeat, often up to six times.
         pool = data.draw(st.lists(st.sampled_from(_COUNTED_POOL), min_size=1, max_size=3))
         policies = {d: data.draw(st.sampled_from(pool)) for d in devices}
-        order = data.draw(st.permutations([p.steps for p in paths]))
+        classes, rows = _class_rows(data, policies, devices, paths)
         expected = _outcome(literal_end_to_end, PolicyContext.QOS, policies, paths)
-        assert _outcome(fold_end_to_end, PolicyContext.QOS, policies, order) == expected
-        number = {d: k for k, d in enumerate(devices)}
-        indexed = {number[d]: value for d, value in policies.items()}
-        rows = [tuple(number[d] for d in steps) for steps in order]
         assert _outcome(
-            lambda *args: fold_end_to_end(*args, devices), PolicyContext.QOS, indexed, rows
+            lambda ctx, classes, rows: fold_classes(ctx, classes, rows, devices),
+            PolicyContext.QOS, classes, rows,
         ) == expected
 
 
