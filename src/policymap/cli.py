@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import documents
-from .closure import right_iterate
+from .closure import edit_closure, right_iterate
 from .errors import PolicymapError, UnknownDevice, UnreachablePair
 from .mapper import (
     DirectionConvention,
@@ -26,9 +26,11 @@ from .mapper import (
 from .policy import PolicyContext, PolicyDocument, load_policy
 from .topology import (
     NetworkTopology,
+    TopologyNode,
     ZoneConduitModel,
     adjacency_matrix,
     build_model,
+    check_transitivity,
     load_topology,
     transitivity_matrix,
 )
@@ -136,37 +138,43 @@ def cmd_paths(args) -> int:
     return 0
 
 
+def _firewalls(topology: NetworkTopology, device_ids: Sequence[str]) -> list[TopologyNode]:
+    """The firewall nodes named device_ids; raises UnknownDevice for the first unknown name."""
+    by_name = {n.name: n for n in topology.firewalls()}
+    for device_id in device_ids:
+        if device_id not in by_name:
+            raise UnknownDevice(f"no firewall named {device_id!r} in the topology")
+    return [by_name[device_id] for device_id in device_ids]
+
+
 def _drop_devices(topology: NetworkTopology, device_ids: Sequence[str]) -> NetworkTopology:
     """The topology without the named firewalls' links.  Their nodes stay, so
     each keeps its --firewall-zones management zone, with no device attached."""
-    by_name = {n.name: n for n in topology.firewalls()}
-    dropped_node_ids = set()
-    for device_id in device_ids:
-        node = by_name.get(device_id)
-        if node is None:
-            raise UnknownDevice(f"no firewall named {device_id!r} in the topology")
-        dropped_node_ids.add(node.node_id)
+    dropped_node_ids = {node.node_id for node in _firewalls(topology, device_ids)}
     links = tuple(l for l in topology.links if l.firewall not in dropped_node_ids)
     return NetworkTopology(topology.nodes, links)
 
 
-def cmd_whatif(args) -> int:
-    topology, policy_doc = _read_inputs(args)
+def _whatif_runs(args, topology: NetworkTopology, policy_doc: PolicyDocument):
+    """map_rules' results before and then after args' change, from one
+    compile: the edited closure maps over the base model, whose zones a
+    dropped firewall keeps.  No closure outlives its mapping."""
     convention = DirectionConvention(args.direction_convention)
     strategy = MeasurementStrategy(args.measurement_strategy)
+    model, astar = _compile(topology, policy_doc.transitivity, args.firewall_zones)
+    before = _map_tolerant(policy_doc, astar, model, convention, strategy)
+    dropped = {node.name for node in _firewalls(topology, args.drop_device)}
+    changed = {**policy_doc.transitivity, **dict.fromkeys(args.set_transitive, True)}
+    changed.update(dict.fromkeys(args.set_non_transitive, False))
+    check_transitivity({node.name for node in topology.zones()}, changed)
+    after = [changed.get(zone.name, False) for zone in model.zones]
+    astar = edit_closure(astar, [zone.transitive for zone in model.zones], after, dropped)
+    return (*before, *_map_tolerant(policy_doc, astar, model, convention, strategy))
 
-    def mapped(topology: NetworkTopology, transitivity: dict):
-        model, astar = _compile(topology, transitivity, args.firewall_zones)
-        return _map_tolerant(policy_doc, astar, model, convention, strategy)
 
-    before = mapped(topology, policy_doc.transitivity)
-    changed_transitivity = dict(policy_doc.transitivity)
-    for zone in args.set_transitive:
-        changed_transitivity[zone] = True
-    for zone in args.set_non_transitive:
-        changed_transitivity[zone] = False
-    after = mapped(_drop_devices(topology, args.drop_device), changed_transitivity)
-    document = documents.diff_document(*before, *after)
+def cmd_whatif(args) -> int:
+    topology, policy_doc = _read_inputs(args)
+    document = documents.diff_document(*_whatif_runs(args, topology, policy_doc))
     _emit(_render(document, documents.render_diff_text, args.format), args.out)
     return 0
 

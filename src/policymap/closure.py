@@ -24,6 +24,14 @@ of indices into the adjacency's table of directed devices.  It reads A
 and T in that int form too, so no path object is built unless a cell's
 PathSet is read.
 
+edit_closure derives whatif's changed closure from the one it has.
+Dropping a firewall or closing a zone only removes paths: a path dies if
+it uses a dropped firewall's device or if a closed zone is the to-zone of
+one of its steps but the last.  Then each opened zone z, in index order,
+adds to each cell (i, j), i != z != j, the joins of a path in (i, z) and
+one in (z, j) whose zones meet only in z and whose physical devices are
+disjoint: one Gauss-Jordan pivot over a path algebra (Carré 1971).
+
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
 independent oracle for it.
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import permutations
+from typing import Collection, Sequence
 
 from .algebra import (
     EPSILON,
@@ -167,6 +176,47 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
         frontier = grown
 
     return PathMatrix(found, table)
+
+
+def edit_closure(
+    astar: PathMatrix, before: Sequence[bool], after: Sequence[bool], dropped: Collection[str]
+) -> PathMatrix:
+    """The closure of astar's network (zone z transitive iff before[z]) with
+    the firewalls named in dropped removed and z transitive iff after[z]:
+    astar filtered, then pivoted, over its table.  astar is unchanged."""
+    n, table = astar.n, astar.table
+    dead = {k for k, dev in enumerate(table if dropped else ()) if dev.device_id in dropped}
+    leaving = {
+        z: {k for k, dev in enumerate(table) if dev.from_zone == z}
+        for z in range(n) if before[z] and not after[z]
+    }
+    # A path from i leaves i only by its first step.
+    cuts = [dead.union(*(ks for z, ks in leaving.items() if z != i)) for i in range(n)]
+    rows = [[[p for p in astar.index_paths(i, j) if cut.isdisjoint(p)] for j in range(n)]
+            for i, cut in enumerate(cuts)]
+
+    physical: dict[str, int] = {}
+
+    def with_masks(start: int, paths) -> list[tuple[tuple[int, ...], int, int]]:
+        """Each path with the masks of the zones it visits and the physical devices it uses."""
+        found = []
+        for path in paths:
+            steps = [table[k] for k in path]
+            zones = sum(1 << dev.to_zone for dev in steps) | 1 << start
+            devices = sum(physical.setdefault(dev.device_id, 1 << len(physical)) for dev in steps)
+            found.append((path, zones, devices))
+        return found
+
+    for z in (z for z in range(n) if after[z] and not before[z]):
+        into = [with_masks(i, rows[i][z]) if i != z else [] for i in range(n)]
+        out_of = [with_masks(z, rows[z][j]) if j != z else [] for j in range(n)]
+        for i, j in permutations(range(n), 2):
+            for p, p_zones, p_devices in into[i] if out_of[j] else ():
+                rows[i][j].extend(
+                    p + q for q, q_zones, q_devices in out_of[j]
+                    if p_zones & q_zones == 1 << z and not p_devices & q_devices
+                )
+    return PathMatrix(rows, table)
 
 
 def brute_force_paths(model: ZoneConduitModel) -> PathMatrix:

@@ -36,11 +36,10 @@ for its rule's zone pair, each distinct (rule, site) row once:
 The audit also re-derives the end-to-end policy each zone pair actually
 implements and compares it with the intended rule value.
 
-Both work on bit masks over the closure's directed-device table, built
-once per closure and kept with it: for each site, device id and (device
-id, interface), the directed devices it realizes or names, and for each
-zone pair, its occurrences.  A placement's class is three ANDs of these
-with its pair's mask.  The occurrences a pair's placed values reach are
+Both work on bit masks over the closure's directed-device table, kept
+with the closure: for each site the rows name, the directed devices it
+realizes, and for each zone pair, its occurrences; a misplaced site's
+device gets one too.  The occurrences a pair's placed values reach are
 grouped into one mask per value, and policy.fold_classes folds the
 paths over those classes.
 """
@@ -268,20 +267,17 @@ def map_policy(
     return list(require_reachable(mapped))
 
 
-def _site_masks(astar: PathMatrix) -> dict:
-    """Masks over astar.table, kept with astar: for each site, the directed
-    devices it realizes; for each device id, and each (device id,
-    interface) of an ingress or egress, the directed devices they name."""
-
-    def build() -> dict:
-        masks: dict = {}
-        for k, dev in enumerate(astar.table):
-            inbound, outbound = realizations(dev)
-            for key in (inbound, outbound, dev.device_id, inbound[:2], outbound[:2]):
-                masks[key] = masks.get(key, 0) | 1 << k
-        return masks
-
-    return astar.memo("site masks", build)
+def _site_masks(astar: PathMatrix, sites: Iterable[Site]) -> dict:
+    """Masks over astar.table, kept with astar: for each of sites, the
+    directed devices it realizes.  The sites not yet kept take one pass."""
+    masks = astar.memo("site masks", dict)
+    built = {site: 0 for site in sites if site not in masks}
+    for k, dev in enumerate(astar.table if built else ()):
+        for site in realizations(dev):
+            if site in built:
+                built[site] |= 1 << k
+    masks.update(built)
+    return masks
 
 
 def _occurrence_mask(astar: PathMatrix, i: int, j: int) -> int:
@@ -291,15 +287,19 @@ def _occurrence_mask(astar: PathMatrix, i: int, j: int) -> int:
     )
 
 
-def classify_site(site: Site, masks: dict, cell: int) -> AssignmentClass:
-    """Class of a placement at site, given _site_masks and the occurrence
-    mask of its rule's zone pair."""
-    if masks.get(site, 0) & cell:
+def classify_site(site: Site, masks: dict, cell: int, table: Sequence) -> AssignmentClass:
+    """Class of a placement at site, given _site_masks, its rule's zone pair's
+    occurrence mask and the table; a misplaced site's device mask joins masks."""
+    if masks[site] & cell:
         return AssignmentClass.CORRECT
     device, interface, _ = site
-    if not masks.get(device, 0) & cell:
+    if device not in masks:
+        masks[device] = sum(1 << k for k, dev in enumerate(table) if dev.device_id == device)
+    named = masks[device] & cell
+    if not named:
         return AssignmentClass.INCORRECT_FIREWALL
-    if not masks.get((device, interface), 0) & cell:
+    if all(interface not in (table[k].ingress_interface, table[k].egress_interface)
+           for k in mask_indices(named)):
         return AssignmentClass.INCORRECT_INTERFACE
     return AssignmentClass.INCORRECT_DIRECTION
 
@@ -354,9 +354,10 @@ def verify_assignments(
 
     pairs = sorted(set(intended) | set(by_pair))
     zones = {(src, dst): (model.zone_index(src), model.zone_index(dst)) for src, dst in pairs}
-    masks = _site_masks(astar)
+    masks = _site_masks(astar, sites)
     cells = {pair: _occurrence_mask(astar, i, j) for pair, (i, j) in zones.items()}
-    class_of = {(r, s): classify_site(sites[s], masks, cells[pair_of[r]]) for r, s in distinct}
+    class_of = {(r, s): classify_site(sites[s], masks, cells[pair_of[r]], astar.table)
+                for r, s in distinct}
 
     # Each distinct placed value once, by equality, so that the rows of a
     # pair are grouped by value without hashing one per row.
@@ -376,7 +377,7 @@ def verify_assignments(
         # A placement gives an occurrence its value only if it sits where
         # that orientation's traffic actually crosses the device.
         reached = [
-            (value_of[r], masks.get(sites[s], 0) & cell) for r, s in by_pair.get((src, dst), ())
+            (value_of[r], masks[sites[s]] & cell) for r, s in by_pair.get((src, dst), ())
         ]
         classes = _device_classes(ctx, values, reached, cell, default)
         derived = fold_classes(ctx, classes, paths, astar.table)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import IO, Union
+from typing import IO, Collection, Union
 
 from .algebra import ONE, ZERO, DirectedDevice, PathMatrix, PhysicalDevice, device_key
 from .errors import MalformedDocument, SchemaError, UnknownZone
@@ -227,6 +227,13 @@ class ZoneConduitModel:
             raise UnknownZone(f"unknown zone {name!r}") from None
 
 
+def check_transitivity(zone_names: Collection[str], transitivity: dict[str, bool]) -> None:
+    """Raise UnknownZone for the first name in transitivity not in zone_names."""
+    for name in transitivity:
+        if name not in zone_names:
+            raise UnknownZone(f"transitivity names unknown zone {name!r}")
+
+
 def build_model(
     topology: NetworkTopology,
     transitivity: dict[str, bool],
@@ -240,12 +247,9 @@ def build_model(
     non-transitive management zone attached through a synthetic ``self``
     interface, reachable from all zones adjacent to that firewall.
     """
-    zone_nodes = topology.zones()
-    zone_names = sorted(node.name for node in zone_nodes)
+    zone_names = sorted(node.name for node in topology.zones())
     known = set(zone_names)
-    for name in transitivity:
-        if name not in known:
-            raise UnknownZone(f"transitivity names unknown zone {name!r}")
+    check_transitivity(known, transitivity)
 
     node_name = {node.node_id: node.name for node in topology.nodes}
     # Per firewall, in link order: (name of the zone faced, interface facing it).

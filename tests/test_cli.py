@@ -11,8 +11,8 @@ from policymap.algebra import DevicePath
 from policymap.cli import _drop_devices, main
 from policymap.closure import brute_force_paths
 from policymap.mapper import DeviceAssignment, map_rules
-from policymap.policy import PolicyRule, SecurityValue, ServiceSet
-from policymap.topology import build_model
+from policymap.policy import PolicyRule, SecurityValue, ServiceSet, load_policy
+from policymap.topology import build_model, load_topology
 
 from conftest import (
     Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, data_path, hash_seed_env,
@@ -353,6 +353,93 @@ class TestWhatIf:
         code, _, err = run(capsys, "whatif", DIAMOND, POLICY, "--drop-device", "ZZZ")
         assert code == 1
         assert "UnknownDevice" in err
+
+
+class TestWhatIfSemantics:
+    """whatif compiles the network once and edits its closure for the
+    changed run; the flags' precedence and the order of its errors stay."""
+
+    @pytest.mark.parametrize(
+        "policy, options",
+        [
+            ("diamond_ssh.policy", ("--drop-device", "A")),
+            ("diamond_ssh.policy", ("--set-non-transitive", "Z4")),
+            ("diamond_ssh_z4closed.policy", ("--set-transitive", "Z4")),
+            (
+                "diamond_ssh_z4closed.policy",
+                ("--firewall-zones", "--drop-device", "C", "--set-transitive", "Z4"),
+            ),
+        ],
+    )
+    def test_one_model_and_one_closure(self, capsys, monkeypatch, policy, options):
+        calls = []
+        build, close = cli.build_model, cli.right_iterate
+
+        def building(*args, **kwargs):
+            calls.append("build_model")
+            return build(*args, **kwargs)
+
+        def closing(*args):
+            calls.append("right_iterate")
+            return close(*args)
+
+        monkeypatch.setattr(cli, "build_model", building)
+        monkeypatch.setattr(cli, "right_iterate", closing)
+        code, out, _ = run(capsys, "whatif", DIAMOND, str(data_path(policy)), *options)
+        assert code == 0 and out
+        assert calls == ["build_model", "right_iterate"]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_set_non_transitive_wins(self, capsys, fmt):
+        closing = run(capsys, "whatif", DIAMOND, POLICY, "--set-non-transitive", "Z4", "--format", fmt)
+        assert closing[0] == 0 and "E" in closing[1]
+        for options in (
+            ("--set-transitive", "Z4", "--set-non-transitive", "Z4"),
+            ("--set-non-transitive", "Z4", "--set-transitive", "Z4"),
+        ):
+            assert run(capsys, "whatif", DIAMOND, POLICY, *options, "--format", fmt) == closing
+
+    @pytest.mark.parametrize(
+        "options",
+        [("--set-transitive", "Z9", "--drop-device", "Q"), ("--drop-device", "Q", "--set-transitive", "Z9")],
+    )
+    def test_unknown_device_comes_before_unknown_zone(self, capsys, options):
+        assert run(capsys, "whatif", DIAMOND, POLICY, *options) == (
+            1, "", "error: UnknownDevice: no firewall named 'Q' in the topology\n"
+        )
+
+    def test_management_zone_cannot_be_named(self, capsys):
+        assert run(
+            capsys, "whatif", DIAMOND, POLICY, "--firewall-zones", "--set-transitive", "fwz-A"
+        ) == (1, "", "error: UnknownZone: transitivity names unknown zone 'fwz-A'\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_opening_two_zones_equals_the_recompute(self, capsys, tmp_path, fmt):
+        # Z2 -> Z1 -> Z4 -> Z3 needs both opened zones: two pivots in turn.
+        policy = tmp_path / "closed.policy"
+        policy.write_text(
+            "security Z2 -> Z3 : tcp/22\nqos Z2 -> Z4 : tcp/80 min 50MB/s\n"
+            "measure Z1 -> Z3 : collect udp/any\nsecurity Z3 -> Z2 : tcp/443\n"
+        )
+        code, out, _ = run(
+            capsys, "whatif", DIAMOND, str(policy),
+            "--set-transitive", "Z1", "--set-transitive", "Z4", "--format", fmt,
+        )
+        topology, policy_doc = load_topology(DIAMOND), load_policy(str(policy))
+
+        def mapped(transitivity):
+            model = build_model(topology, transitivity)
+            return cli._map_tolerant(
+                policy_doc, closure_of(model), model,
+                mapper.DirectionConvention.INGRESS_INBOUND, mapper.MeasurementStrategy.ALL,
+            )
+
+        document = documents.diff_document(
+            *mapped(policy_doc.transitivity), *mapped({"Z1": True, "Z4": True})
+        )
+        assert len(document["added"]) > 0 and document["resolved_unreachable"]
+        render = documents.to_json if fmt == "structured" else documents.render_diff_text
+        assert (code, out) == (0, render(document))
 
 
 class TestFirewallZones:

@@ -17,8 +17,10 @@ from policymap.algebra import (
     device_key,
     steps_key,
 )
+from policymap.cli import _drop_devices
 from policymap.closure import (
     brute_force_paths,
+    edit_closure,
     identity_matrix,
     iterate,
     matrix_product,
@@ -64,7 +66,7 @@ from policymap.topology import (
     transitivity_matrix,
 )
 
-from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, literal_end_to_end
+from conftest import Z1_Z3_LAB_CLOSED, Z1_Z3_ALL_OPEN, closure_of, literal_end_to_end
 from modelgen import random_model, random_rules, random_topology, random_value
 
 
@@ -85,15 +87,20 @@ def random_models():
     return [random_model(rng) for _ in range(30)]
 
 
-def whatif_variant_models():
-    """Random models, each also with one firewall dropped and with one
-    zone's transitivity flipped, as a what-if changes them."""
+def whatif_draws():
+    """Random networks, each with a firewall to drop and a zone to flip."""
     rng = random.Random(0x5E1)
     for _ in range(50):
         topology, names = random_topology(rng)
         transitivity = {name: rng.random() < 0.6 for name in names}
-        dropped = rng.choice(topology.firewalls()).node_id
-        flipped = rng.choice(names)
+        yield topology, transitivity, rng.choice(topology.firewalls()), rng.choice(names)
+
+
+def whatif_variant_models():
+    """Random models, each also with one firewall dropped and with one
+    zone's transitivity flipped, as a what-if changes them."""
+    for topology, transitivity, firewall, flipped in whatif_draws():
+        dropped = firewall.node_id
         variants = (
             (topology, transitivity),
             (
@@ -109,8 +116,9 @@ def whatif_variant_models():
             yield build_model(variant_topology, variant_transitivity)
 
 
-def sparse_sixty_models():
-    """Three random models of 50 to 60 zones and at most 80 firewalls.
+def sparse_sixty_draws():
+    """Three random networks of 50 to 60 zones and at most 80 firewalls,
+    with their transitivity.
 
     Draws with fewer zones but as many firewalls are dense, and their
     path counts (the oracle's time too) grow exponentially, so only the
@@ -119,10 +127,16 @@ def sparse_sixty_models():
     rng = random.Random(0x600)
     kept = 0
     while kept < 3:
-        model = random_model(rng, max_zones=60, max_firewalls=80)
-        if model.n >= 50:
+        topology, names = random_topology(rng, max_zones=60, max_firewalls=80)
+        transitivity = {name: rng.random() < 0.6 for name in names}
+        if len(names) >= 50:
             kept += 1
-            yield model
+            yield topology, transitivity
+
+
+def sparse_sixty_models():
+    for topology, transitivity in sparse_sixty_draws():
+        yield build_model(topology, transitivity)
 
 
 def outcome(call, *args):
@@ -317,6 +331,74 @@ class TestClosureProperties:
             matrix_union(identity_matrix(2), identity_matrix(3))
         with pytest.raises(DimensionMismatch):
             matrix_product(identity_matrix(2), identity_matrix(3))
+
+
+def edited_and_recomputed(topology, transitivity, drops, flips, firewall_zones=False):
+    """The changed network's closure two ways: the base closure edited, and
+    right_iterate of the changed model built from scratch.  The edit must
+    leave the base closure as it was."""
+    changed = {**transitivity, **{zone: not transitivity.get(zone, False) for zone in flips}}
+    model = build_model(topology, transitivity, add_firewall_zones=firewall_zones)
+    base = closure_of(model)
+    zones = range(model.n)
+    rows = [[list(base.index_paths(i, j)) for j in zones] for i in zones]
+    edited = edit_closure(
+        base,
+        [zone.transitive for zone in model.zones],
+        [changed.get(zone.name, False) for zone in model.zones],
+        set(drops),
+    )
+    assert [[list(base.index_paths(i, j)) for j in zones] for i in zones] == rows
+    changed_model = build_model(
+        _drop_devices(topology, drops), changed, add_firewall_zones=firewall_zones
+    )
+    return edited, closure_of(changed_model)
+
+
+class TestEditClosure:
+    """whatif's changed closure, the base closure filtered for dropped
+    firewalls and closed zones and pivoted on each opened zone, equals the
+    closure of the changed network, cell for cell."""
+
+    def test_random_draws_equal_the_recompute(self):
+        rng = random.Random(0xED17)
+        edits = {"drop": 0, "open": 0, "close": 0}
+        for _ in range(300):
+            topology, names = random_topology(rng)
+            transitivity = {name: rng.random() < 0.6 for name in names}
+            firewalls = [node.name for node in topology.firewalls()]
+            drops = rng.sample(firewalls, rng.randint(0, min(2, len(firewalls))))
+            flips = rng.sample(names, rng.randint(0, min(3, len(names))))
+            edits["drop"] += bool(drops)
+            edits["open"] += any(not transitivity[zone] for zone in flips)
+            edits["close"] += any(transitivity[zone] for zone in flips)
+            for firewall_zones in (False, True):
+                edited, recomputed = edited_and_recomputed(
+                    topology, transitivity, drops, flips, firewall_zones
+                )
+                assert edited == recomputed
+        assert min(edits.values()) > 100
+
+    def test_whatif_variants_equal_the_recompute(self):
+        for topology, transitivity, firewall, flipped in whatif_draws():
+            for drops, flips in (([firewall.name], []), ([], [flipped]), ([firewall.name], [flipped])):
+                edited, recomputed = edited_and_recomputed(topology, transitivity, drops, flips)
+                assert edited == recomputed
+
+    def test_sparse_sixty_draws_equal_the_recompute(self):
+        rng = random.Random(0x6ED)
+        for topology, transitivity in sparse_sixty_draws():
+            drop = rng.choice(topology.firewalls()).name
+            flip = rng.choice(sorted(transitivity))
+            edited, recomputed = edited_and_recomputed(topology, transitivity, [drop], [flip])
+            assert edited == recomputed
+
+    def test_opening_two_zones_pivots_in_turn(self, diamond_topology):
+        # Z2 -> Z1 -> Z4 -> Z3 exists only once both Z1 and Z4 carry traffic.
+        closed = {name: False for name in ("Z1", "Z2", "Z3", "Z4")}
+        edited, recomputed = edited_and_recomputed(diamond_topology, closed, [], ["Z1", "Z4"])
+        assert edited == recomputed
+        assert "A21E14F43" in edited.cell(1, 2).text()
 
 
 class TestCompactCells:
