@@ -292,8 +292,9 @@ class PathMatrix:
     Each path is a tuple of indices into ``table``, the matrix's directed
     devices in canonical order (device_key).  PathMatrix(rows, table)
     takes rows[i][j], cell (i, j)'s distinct valid paths in that form, as
-    adjacency_matrix and right_iterate build them; PathMatrix.build(n,
-    cell) takes a PathSet for each cell and numbers their devices itself.
+    adjacency_matrix, transitivity_matrix and edit_closure build them;
+    PathMatrix.build(n, cell) takes a PathSet for each cell and numbers
+    their devices itself.
     index_paths(i, j) gives the stored int tuples, in no promised order,
     and occurrence_indices the indices on them.  cell(i, j) maps the
     indices back to directed devices and builds its PathSet, each path

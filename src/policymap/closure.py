@@ -16,21 +16,18 @@ elementary-path validity bounds that at n-1.
 iterate evaluates the recurrence literally, as the paper's reference:
 matrix product and union are the cellwise lifts of the path-set
 operations, each step recomputes every path it already has, and the
-iteration stops at the first fixpoint.  right_iterate, the closure the
-pipeline uses, evaluates the same recurrence semi-naively (Bancilhon
-1986): each round extends only the paths the round before found first,
-by one directed device, into the same matrix A<n-1>, each path a tuple
-of indices into the adjacency's table of directed devices.  It reads A
-and T in that int form too, so no path object is built unless a cell's
-PathSet is read.
+iteration stops at the first fixpoint.
 
-edit_closure derives whatif's changed closure from the one it has.
-Dropping a firewall or closing a zone only removes paths: a path dies if
-it uses a dropped firewall's device or if a closed zone is the to-zone of
-one of its steps but the last.  Then each opened zone z, in index order,
-adds to each cell (i, j), i != z != j, the joins of a path in (i, z) and
-one in (z, j) whose zones meet only in z and whose physical devices are
-disjoint: one Gauss-Jordan pivot over a path algebra (Carré 1971).
+With no transitive zone the recurrence stops at A itself, so the closure
+is A with the transitive zones opened.  edit_closure does that to any
+closure: it drops the paths that use a dropped firewall or pass through
+a zone that closes, then grows each path through the zones that open,
+semi-naively (Bancilhon 1986), one device per round, each path a tuple
+of indices into the closure's table of directed devices.  right_iterate,
+the closure the pipeline uses, is edit_closure of A with T's zones
+opened, and whatif's changed closure is edit_closure of the base one.
+Both work in that int form, so no path object is built unless a cell's
+PathSet is read.
 
 brute_force_paths enumerates the same matrix by depth-first search over
 directed devices.  It shares no code with the iteration and serves as the
@@ -115,17 +112,9 @@ def iterate(adjacency: PathMatrix, transitivity: PathMatrix, steps: int) -> Path
 def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix:
     """The closure A* = A<n-1>: every valid path between every zone pair.
 
-    Evaluates the recurrence semi-naively: round 0 is the empty path at
-    each zone, and round k+1 extends the paths first found in round k
-    (past round 0, only those ending in a transitive zone) by one device
-    leaving their end zone (Delta<k+1> = (Delta<k> . T) . A over nonzero
-    cells).  A path is a tuple of indices into the adjacency's device
-    table, which the closure keeps.  A path's one-step-shorter prefix is
-    unique, so no path is found twice and the loop ends when a round finds
-    nothing new.  Each frontier entry carries bitmasks of the zones it
-    visits and the devices it uses, so the validity test of one extension,
-    the loop's only test, is two ``&`` operations; a cell's paths are
-    checked again as DevicePaths when its PathSet is read.  The result equals
+    With no transitive zone, A<k+1> = (A<k> . T  u  I) . A is A itself,
+    so A is the closure of the network with every zone closed, and A* is
+    edit_closure of A that opens each zone T marks.  The result equals
     iterate(adjacency, transitivity, n-1), the paper's literal recurrence.
 
     Beyond iterate's input checks, raises ValueError unless every
@@ -133,19 +122,13 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
     and every diagonal cell of T is ONE or ZERO.
     """
     _check_inputs(adjacency, transitivity)
-    n = adjacency.n
+    n, table = adjacency.n, adjacency.table
     transitive = []
     for z in range(n):
         flag = list(transitivity.index_paths(z, z))
         if flag not in ([()], []):
             raise ValueError(f"transitivity diagonal ({z}, {z}) is neither ONE nor ZERO")
         transitive.append(bool(flag))
-
-    table = adjacency.table
-    device_bit: dict[str, int] = {}
-    # Per zone: (index of a directed device leaving it, its to-zone, that
-    # zone's bit, its physical device's bit).
-    leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     for i, j in permutations(range(n), 2):
         for path in adjacency.index_paths(i, j):
             step = table[path[0]] if len(path) == 1 else None
@@ -155,67 +138,72 @@ def right_iterate(adjacency: PathMatrix, transitivity: PathMatrix) -> PathMatrix
                     f"adjacency cell ({i}, {j}) holds {text}, "
                     f"not a one-step path from {i} to {j}"
                 )
-            bit = device_bit.setdefault(step.device_id, 1 << len(device_bit))
-            leaving[i].append((path[0], j, 1 << j, bit))
-    found: list[list[list[tuple[int, ...]]]] = [
-        [[()] if i == j else [] for j in range(n)] for i in range(n)
-    ]
-    # Frontier entry: (start zone, end zone, path, visited-zone mask, used-device mask).
-    frontier = [(i, i, (), 1 << i, 0) for i in range(n)]
-    while frontier:
-        grown = []
-        for start, end, path, zones, devices in frontier:
-            row = found[start]
-            for k, to, zone_bit, bit in leaving[end]:
-                if zones & zone_bit or devices & bit:
-                    continue
-                longer = path + (k,)
-                row[to].append(longer)
-                if transitive[to]:
-                    grown.append((start, to, longer, zones | zone_bit, devices | bit))
-        frontier = grown
-
-    return PathMatrix(found, table)
+    return edit_closure(adjacency, [False] * n, transitive, ())
 
 
 def edit_closure(
     astar: PathMatrix, before: Sequence[bool], after: Sequence[bool], dropped: Collection[str]
 ) -> PathMatrix:
     """The closure of astar's network (zone z transitive iff before[z]) with
-    the firewalls named in dropped removed and z transitive iff after[z]:
-    astar filtered, then pivoted, over its table.  astar is unchanged."""
+    the firewalls named in dropped removed and z transitive iff after[z],
+    over astar's table.  astar is unchanged.  astar's network is the
+    devices of its one-step paths, not its whole table: an edited closure
+    keeps its dropped firewalls in its table but in none of its cells, so
+    it may be edited again.
+
+    A kept path dies if it uses a dropped firewall's device or passes
+    through a zone that closes.  A new path passes through a zone that
+    opens; its prefix up to the first such zone z is a kept path (i, z).
+    Those prefixes seed a semi-naive frontier (Bancilhon 1986): each round
+    extends the paths the round before found by one live device leaving
+    their end zone, and goes on from the zone reached only if it is
+    transitive after the edit.  A path's one-step-shorter prefix is
+    unique, so no path is found twice.  Each frontier entry carries
+    bitmasks of the zones it visits and the physical devices it uses, so
+    the validity test of one extension, the loop's only test, is two
+    ``&`` operations; a cell's paths are checked again as DevicePaths when
+    its PathSet is read.
+    """
     n, table = astar.n, astar.table
     dead = {k for k, dev in enumerate(table if dropped else ()) if dev.device_id in dropped}
-    leaving = {
+    closing = {
         z: {k for k, dev in enumerate(table) if dev.from_zone == z}
         for z in range(n) if before[z] and not after[z]
     }
     # A path from i leaves i only by its first step.
-    cuts = [dead.union(*(ks for z, ks in leaving.items() if z != i)) for i in range(n)]
+    cuts = [dead.union(*(ks for z, ks in closing.items() if z != i)) for i in range(n)]
     rows = [[[p for p in astar.index_paths(i, j) if cut.isdisjoint(p)] for j in range(n)]
             for i, cut in enumerate(cuts)]
 
-    physical: dict[str, int] = {}
-
-    def with_masks(start: int, paths) -> list[tuple[tuple[int, ...], int, int]]:
-        """Each path with the masks of the zones it visits and the physical devices it uses."""
-        found = []
-        for path in paths:
-            steps = [table[k] for k in path]
-            zones = sum(1 << dev.to_zone for dev in steps) | 1 << start
-            devices = sum(physical.setdefault(dev.device_id, 1 << len(physical)) for dev in steps)
-            found.append((path, zones, devices))
-        return found
-
-    for z in (z for z in range(n) if after[z] and not before[z]):
-        into = [with_masks(i, rows[i][z]) if i != z else [] for i in range(n)]
-        out_of = [with_masks(z, rows[z][j]) if j != z else [] for j in range(n)]
-        for i, j in permutations(range(n), 2):
-            for p, p_zones, p_devices in into[i] if out_of[j] else ():
-                rows[i][j].extend(
-                    p + q for q, q_zones, q_devices in out_of[j]
-                    if p_zones & q_zones == 1 << z and not p_devices & q_devices
-                )
+    device_bit: dict[str, int] = {}
+    bits = [device_bit.setdefault(dev.device_id, 1 << len(device_bit)) for dev in table]
+    # Per zone: (index of a live directed device leaving it, its to-zone,
+    # that zone's bit, its physical device's bit).
+    leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    live = {p[0] for row in rows for cell in row for p in cell if len(p) == 1}
+    for k, dev in enumerate(table):
+        if k in live:
+            leaving[dev.from_zone].append((k, dev.to_zone, 1 << dev.to_zone, bits[k]))
+    # Frontier entry: (start zone, end zone, path, visited-zone mask, used-device mask);
+    # a kept path visits each zone and uses each device once, so its masks are sums.
+    frontier = [
+        (i, z, p, sum((1 << table[k].to_zone for k in p), 1 << i), sum(bits[k] for k in p))
+        for z in range(n) if after[z] and not before[z]
+        for i in range(n) if i != z
+        for p in rows[i][z]
+    ]
+    while frontier:
+        grown = []
+        for start, end, path, zones, devices in frontier:
+            row = rows[start]
+            for k, to, zone_bit, bit in leaving[end]:
+                if zones & zone_bit or devices & bit:
+                    continue
+                longer = path + (k,)
+                row[to].append(longer)
+                if after[to]:
+                    grown.append((start, to, longer, zones | zone_bit, devices | bit))
+        frontier = grown
     return PathMatrix(rows, table)
 
 

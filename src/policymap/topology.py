@@ -23,7 +23,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import IO, Collection, Union
 
-from .algebra import ONE, ZERO, DirectedDevice, PathMatrix, PhysicalDevice, device_key
+from .algebra import DirectedDevice, PathMatrix, PhysicalDevice, device_key
 from .errors import MalformedDocument, SchemaError, UnknownZone
 
 ZONE_KIND = "zone"
@@ -316,7 +316,10 @@ def adjacency_matrix(model: ZoneConduitModel) -> PathMatrix:
 
 
 def transitivity_matrix(model: ZoneConduitModel) -> PathMatrix:
-    """Diagonal matrix marking which zones may carry through-traffic."""
-    return PathMatrix.build(
-        model.n, lambda i, j: ONE if i == j and model.zones[i].transitive else ZERO
+    """Diagonal matrix marking which zones may carry through-traffic: the
+    empty path () in cell (z, z) of each transitive zone z, over an empty
+    table, built straight in PathMatrix's int form."""
+    zones = range(model.n)
+    return PathMatrix(
+        [[[()] if i == j and model.zones[i].transitive else [] for j in zones] for i in zones], ()
     )

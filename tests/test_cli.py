@@ -415,7 +415,7 @@ class TestWhatIfSemantics:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_opening_two_zones_equals_the_recompute(self, capsys, tmp_path, fmt):
-        # Z2 -> Z1 -> Z4 -> Z3 needs both opened zones: two pivots in turn.
+        # Z2 -> Z1 -> Z4 -> Z3 needs both opened zones: it grows through both.
         policy = tmp_path / "closed.policy"
         policy.write_text(
             "security Z2 -> Z3 : tcp/22\nqos Z2 -> Z4 : tcp/80 min 50MB/s\n"

@@ -355,10 +355,24 @@ def edited_and_recomputed(topology, transitivity, drops, flips, firewall_zones=F
     return edited, closure_of(changed_model)
 
 
+def assert_same_paths(edited, recomputed):
+    """edited == recomputed, and each cell holds each of its paths once:
+    == compares cells as sets, so it would pass a path grown twice."""
+    assert edited == recomputed
+    number = {dev: k for k, dev in enumerate(recomputed.table)}
+    for i in range(edited.n):
+        for j in range(edited.n):
+            paths = sorted(
+                tuple(number[edited.table[k]] for k in p) for p in edited.index_paths(i, j)
+            )
+            assert paths == sorted(recomputed.index_paths(i, j))
+            assert len(set(paths)) == len(paths)
+
+
 class TestEditClosure:
     """whatif's changed closure, the base closure filtered for dropped
-    firewalls and closed zones and pivoted on each opened zone, equals the
-    closure of the changed network, cell for cell."""
+    firewalls and closed zones and grown through each opened zone, equals
+    the closure of the changed network, cell for cell and path for path."""
 
     def test_random_draws_equal_the_recompute(self):
         rng = random.Random(0xED17)
@@ -376,14 +390,35 @@ class TestEditClosure:
                 edited, recomputed = edited_and_recomputed(
                     topology, transitivity, drops, flips, firewall_zones
                 )
-                assert edited == recomputed
+                assert_same_paths(edited, recomputed)
         assert min(edits.values()) > 100
 
     def test_whatif_variants_equal_the_recompute(self):
         for topology, transitivity, firewall, flipped in whatif_draws():
             for drops, flips in (([firewall.name], []), ([], [flipped]), ([firewall.name], [flipped])):
                 edited, recomputed = edited_and_recomputed(topology, transitivity, drops, flips)
-                assert edited == recomputed
+                assert_same_paths(edited, recomputed)
+
+    def test_an_edited_closure_edits_again(self):
+        # The first edit keeps the dropped firewall in its table, in no cell;
+        # the second, not told of it, must not grow paths through it.
+        opened = 0
+        for topology, transitivity, firewall, flipped in whatif_draws():
+            once, _ = edited_and_recomputed(topology, transitivity, [firewall.name], [])
+            assert firewall.name in {dev.device_id for dev in once.table}
+            zones = build_model(topology, transitivity).zones
+            twice = edit_closure(
+                once,
+                [zone.transitive for zone in zones],
+                [zone.transitive != (zone.name == flipped) for zone in zones],
+                (),
+            )
+            _, recomputed = edited_and_recomputed(
+                topology, transitivity, [firewall.name], [flipped]
+            )
+            assert_same_paths(twice, recomputed)
+            opened += not transitivity[flipped]
+        assert opened > 10
 
     def test_sparse_sixty_draws_equal_the_recompute(self):
         rng = random.Random(0x6ED)
@@ -391,13 +426,13 @@ class TestEditClosure:
             drop = rng.choice(topology.firewalls()).name
             flip = rng.choice(sorted(transitivity))
             edited, recomputed = edited_and_recomputed(topology, transitivity, [drop], [flip])
-            assert edited == recomputed
+            assert_same_paths(edited, recomputed)
 
-    def test_opening_two_zones_pivots_in_turn(self, diamond_topology):
+    def test_opening_two_zones_grows_through_both(self, diamond_topology):
         # Z2 -> Z1 -> Z4 -> Z3 exists only once both Z1 and Z4 carry traffic.
         closed = {name: False for name in ("Z1", "Z2", "Z3", "Z4")}
         edited, recomputed = edited_and_recomputed(diamond_topology, closed, [], ["Z1", "Z4"])
-        assert edited == recomputed
+        assert_same_paths(edited, recomputed)
         assert "A21E14F43" in edited.cell(1, 2).text()
 
 
@@ -449,11 +484,16 @@ class TestCompactCells:
                     frozenset(DevicePath((dev,)) for dev in model.conduits.get((i, j), ()))
                 ),
             )
-            assert adjacency.table == built.table
-            for i in range(model.n):
-                for j in range(model.n):
-                    assert set(adjacency.index_paths(i, j)) == set(built.index_paths(i, j))
-            assert adjacency == built
+            transitivity = transitivity_matrix(model)
+            built_transitivity = PathMatrix.build(
+                model.n, lambda i, j: ONE if i == j and model.zones[i].transitive else ZERO
+            )
+            for ints, pathsets in ((adjacency, built), (transitivity, built_transitivity)):
+                assert ints.table == pathsets.table
+                for i in range(model.n):
+                    for j in range(model.n):
+                        assert set(ints.index_paths(i, j)) == set(pathsets.index_paths(i, j))
+                assert ints == pathsets
 
     @pytest.mark.parametrize(
         "models", [random_models, whatif_variant_models, sparse_sixty_models]
